@@ -11,20 +11,21 @@ across a process pool or asyncio tasks (``config.engine``) and/or replay
 rounds from a trace cache; the default runtime is serial and cache-less,
 matching historic behavior.  The pipeline itself is asyncio-native —
 :meth:`Sherlock.arun` is the implementation, :meth:`Sherlock.run` a
-synchronous façade over it — and per-phase timings and cache counters
-land in a :class:`~repro.runtime.metrics.RunMetrics` on every round.
+synchronous façade over it — and each round runs inside one
+:func:`~repro.metrics.recording`, whose :class:`~repro.metrics.RunMetrics`
+(per-phase timings, cache, LP and engine counters, each counted where the
+work happens) becomes the round's ``metrics``.
 """
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from ..metrics import RunMetrics, count, recording, timed
 from ..runtime._sync import _run_sync
 from ..runtime.engine import ExecutionRuntime
-from ..runtime.metrics import RunMetrics
 from ..sim.program import Application
 from ..sim.runner import TestExecution
 from ..trace.optypes import OpRef
@@ -141,63 +142,32 @@ class Sherlock:
         encoder = IncrementalEncoder(config) if config.incremental else None
 
         for round_index in range(config.rounds):
-            t_start = time.perf_counter()
-            outcome = await self.runtime.aobserve_round(
-                self.app, config, round_index, delay_plan
-            )
-            executions = outcome.executions
-            if self.round_listener is not None:
-                self.round_listener(round_index, executions)
-            t_observed = time.perf_counter()
-            if not config.accumulate_across_runs:
-                store = ObservationStore()
-            self._ingest(store, executions, config)
-            t_extracted = time.perf_counter()
-
-            inference = infer(store, config, encoder=encoder)
-            t_solved = time.perf_counter()
-            delay_plan = build_delay_plan(inference, config)
-            t_perturbed = time.perf_counter()
-
-            metrics = RunMetrics(
-                observe_s=t_observed - t_start,
-                extract_s=t_extracted - t_observed,
-                encode_s=inference.encode_s,
-                solve_s=(t_solved - t_extracted) - inference.encode_s,
-                perturb_s=t_perturbed - t_solved,
-                cache_hits=1 if outcome.cache_hit else 0,
-                cache_misses=0 if outcome.cache_hit else 1,
-                tests_executed=len(executions),
-                events_observed=outcome.events_observed,
-                lp_variables=inference.n_variables,
-                lp_constraints=inference.n_constraints,
-                lp_pivots=inference.lp_pivots,
-                lp_factorizations=inference.lp_factorizations,
-                lp_refactorizations=inference.lp_refactorizations,
-                lp_factorize_s=inference.lp_factorize_s,
-                lp_ftran_btran_s=inference.lp_ftran_btran_s,
-                lp_pricing_s=inference.lp_pricing_s,
-                lp_eta_len=inference.lp_eta_len,
-                lp_presolve_s=inference.lp_presolve_s,
-                lp_presolve_rows=inference.lp_presolve_rows_eliminated,
-                lp_presolve_cols=inference.lp_presolve_cols_eliminated,
-                lp_dual_iterations=inference.lp_dual_iterations,
-                lp_phase1_iterations=inference.lp_phase1_iterations,
-                lp_phase1_skipped=1 if inference.lp_phase1_skipped else 0,
-                lp_delta_variables=inference.lp_delta_variables,
-                lp_delta_constraints=inference.lp_delta_constraints,
-                workers=outcome.workers_used,
-                engine_concurrency_hwm=outcome.concurrency_hwm,
-                engine_jobs_cancelled=outcome.jobs_cancelled,
-                engine_await_s=outcome.await_s,
-            )
+            with recording() as metrics:
+                with timed("observe_s"):
+                    outcome = await self.runtime.aobserve_round(
+                        self.app, config, round_index, delay_plan
+                    )
+                    executions = outcome.executions
+                    if self.round_listener is not None:
+                        self.round_listener(round_index, executions)
+                count("cache_hits" if outcome.cache_hit else "cache_misses")
+                count("tests_executed", len(executions))
+                count("events_observed", outcome.events_observed)
+                count("workers", outcome.workers_used)
+                with timed("extract_s"):
+                    if not config.accumulate_across_runs:
+                        store = ObservationStore()
+                    self._ingest(store, executions, config)
+                inference = infer(store, config, encoder=encoder)
+                with timed("perturb_s"):
+                    delay_plan = build_delay_plan(inference, config)
             round_results.append(
                 RoundResult(
                     round_index=round_index,
                     inference=inference,
                     windows_total=len(store.windows),
                     racy_pairs_total=len(store.racy_pairs),
-                    events_observed=sum(len(e.log) for e in executions),
+                    events_observed=outcome.events_observed,
                     delays_injected=sum(
                         len(e.log.delays) for e in executions
                     ),

@@ -30,11 +30,11 @@ contract untouched.  ``presolve=False`` turns it off everywhere;
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from ..metrics import count, timed
 from .model import Model, StandardForm
 from .solution import Solution
 
@@ -107,13 +107,6 @@ def _presolve_gate(form: StandardForm) -> bool:
     return n_real >= _PRESOLVE_MIN_COLUMNS
 
 
-def _attach_presolve(sol: Solution, pres, presolve_s: float) -> Solution:
-    sol.presolve_s = presolve_s
-    sol.presolve_rows_eliminated = pres.rows_eliminated
-    sol.presolve_cols_eliminated = pres.cols_eliminated
-    return sol
-
-
 def solve(
     model: Model,
     backend: str = "auto",
@@ -145,26 +138,22 @@ def solve(
             form = model.to_standard_form()
         if presolve == "force" or _presolve_gate(form):
             from .presolve import presolve_form
-            from .solution import SolveStatus
 
-            t0 = perf_counter()
-            pres = presolve_form(form)
-            presolve_s = perf_counter() - t0
+            with timed("lp_presolve_s"):
+                pres = presolve_form(form)
+            count("lp_presolve_rows", pres.rows_eliminated)
+            count("lp_presolve_cols", pres.cols_eliminated)
             if pres.status is not None:
-                sol = Solution(pres.status, backend="presolve")
-                return _attach_presolve(sol, pres, presolve_s)
+                return Solution(pres.status, backend="presolve")
             if pres.identity:
-                sol = registry[backend](
+                return registry[backend](
                     model, form=form, warm_basis=warm_basis
                 )
-                return _attach_presolve(sol, pres, presolve_s)
             reduced_warm = pres.map_warm_basis(warm_basis)
             sol = registry[backend](
                 model, form=pres.reduced, warm_basis=reduced_warm
             )
-            if sol.status is SolveStatus.OPTIMAL:
-                sol = pres.postsolve(sol)
-            return _attach_presolve(sol, pres, presolve_s)
+            return pres.postsolve(sol)
     return registry[backend](model, form=form, warm_basis=warm_basis)
 
 

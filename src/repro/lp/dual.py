@@ -42,6 +42,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..metrics import count
 from .simplex import BasisLabels
 from .solution import Solution, SolveStatus
 
@@ -299,18 +300,13 @@ def attempt_dual_resolve(
     status = _iterate(
         state, costs, art_cost=0.0, max_iter=max_iter, pin_artificials=False
     )
-    if status == "unbounded":
-        sol = Solution(SolveStatus.UNBOUNDED, backend=BACKEND_NAME)
-        sol.dual_iterations = dual_iters
-        sol.phase1_skipped = True
-        return sol
-    if status != "optimal":
+    if status not in ("optimal", "unbounded"):
         return None
-    sol = _extract(problem, state, counters, dual_iters)
-    sol.dual_iterations = dual_iters
-    sol.phase1_iterations = 0
-    sol.phase1_skipped = True
-    return sol
+    count("lp_dual_iterations", dual_iters)
+    count("lp_phase1_skipped")
+    if status == "unbounded":
+        return Solution(SolveStatus.UNBOUNDED, backend=BACKEND_NAME)
+    return _extract(problem, state, counters, dual_iters)
 
 
 __all__ = ["attempt_dual_resolve"]

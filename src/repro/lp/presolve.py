@@ -236,15 +236,6 @@ class PresolvedProblem:
         )
         sol.iterations = solution.iterations
         sol.basis = self._map_basis_back(solution.basis, x)
-        sol.factorizations = solution.factorizations
-        sol.refactorizations = solution.refactorizations
-        sol.factorize_s = solution.factorize_s
-        sol.ftran_btran_s = solution.ftran_btran_s
-        sol.pricing_s = solution.pricing_s
-        sol.eta_len = solution.eta_len
-        sol.phase1_iterations = solution.phase1_iterations
-        sol.phase1_skipped = solution.phase1_skipped
-        sol.dual_iterations = solution.dual_iterations
         return sol
 
     # -- warm-basis forward mapping ---------------------------------------

@@ -71,6 +71,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..metrics import count
 from .factor import DEFAULT_REFACTOR_INTERVAL, LUFactor, SingularBasisError
 from .model import Model, StandardForm
 from .simplex import (
@@ -187,7 +188,7 @@ class _Problem:
 
 @dataclass
 class _Counters:
-    """Factorization observability, surfaced on :class:`Solution`."""
+    """Factorization observability, counted by :func:`_extract`."""
 
     factorizations: int = 0
     refactorizations: int = 0
@@ -197,7 +198,7 @@ class _Counters:
 
 @dataclass
 class _Timers:
-    """Cold-solve phase breakdown, surfaced on :class:`Solution`."""
+    """Cold-solve phase breakdown, counted by :func:`_extract`."""
 
     factorize_s: float = 0.0
     ftran_btran_s: float = 0.0
@@ -716,13 +717,15 @@ def _extract(
     sol = Solution(SolveStatus.OPTIMAL, objective, values, BACKEND_NAME)
     sol.iterations = prior_iterations + state.iterations
     sol.basis = _basis_labels(problem, state.basis)
-    sol.factorizations = counters.factorizations
-    sol.refactorizations = counters.refactorizations
+    # The returned solution is final here, so the solve's factorization
+    # work (discarded warm/dual attempts included) is counted once.
     timers = state.timers
-    sol.factorize_s = timers.factorize_s
-    sol.ftran_btran_s = timers.ftran_btran_s
-    sol.pricing_s = timers.pricing_s
-    sol.eta_len = counters.eta_entries
+    count("lp_factorizations", counters.factorizations)
+    count("lp_refactorizations", counters.refactorizations)
+    count("lp_factorize_s", timers.factorize_s)
+    count("lp_ftran_btran_s", timers.ftran_btran_s)
+    count("lp_pricing_s", timers.pricing_s)
+    count("lp_eta_len", counters.eta_entries)
     return sol
 
 
@@ -827,7 +830,7 @@ def solve_revised(
     if warm_basis is not None:
         warm = _attempt_warm(problem, warm_basis, counters, timers, max_iter)
         if warm is not None:
-            warm.phase1_skipped = True
+            count("lp_phase1_skipped")
             return warm
         if problem.n_real >= _DANTZIG_MIN_COLUMNS:
             # Scale tier: the carried basis no longer resolves cleanly
@@ -902,17 +905,13 @@ def solve_revised(
     status = _iterate(
         state, costs2, art_cost=0.0, max_iter=max_iter, pin_artificials=True
     )
-    if status == "unbounded":
-        sol = Solution(SolveStatus.UNBOUNDED, backend=BACKEND_NAME)
-        sol.phase1_iterations = iterations1
-        sol.phase1_skipped = iterations1 == 0
-        return sol
-    if status != "optimal":
+    if status not in ("optimal", "unbounded"):
         return Solution(SolveStatus.ERROR, backend=BACKEND_NAME)
-    sol = _extract(problem, state, counters, iterations1)
-    sol.phase1_iterations = iterations1
-    sol.phase1_skipped = iterations1 == 0
-    return sol
+    count("lp_phase1_iterations", iterations1)
+    count("lp_phase1_skipped", int(iterations1 == 0))
+    if status == "unbounded":
+        return Solution(SolveStatus.UNBOUNDED, backend=BACKEND_NAME)
+    return _extract(problem, state, counters, iterations1)
 
 
 __all__ = ["BACKEND_NAME", "solve_revised"]

@@ -49,7 +49,7 @@ def solve_scipy(
     bounds = [
         (lo, hi if hi is not None else np.inf) for lo, hi in form.bounds
     ]
-    result = linprog(
+    problem = dict(
         c=form.c,
         A_ub=a_ub,
         b_ub=form.b_ub if a_ub is not None else None,
@@ -60,6 +60,12 @@ def solve_scipy(
         # probability variables integral instead of interior-point mixes.
         method="highs-ds",
     )
+    result = linprog(**problem)
+    if result.status == 2:
+        # HiGHS presolve reports "infeasible" for some LPs that are in
+        # fact unbounded; without presolve the solver tells the two
+        # apart.  Only non-optimal solves pay for the second call.
+        result = linprog(**problem, options={"presolve": False})
     status = {
         0: SolveStatus.OPTIMAL,
         2: SolveStatus.INFEASIBLE,

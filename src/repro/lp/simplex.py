@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..metrics import count
 from .model import Model, StandardForm
 from .solution import Solution, SolveStatus
 
@@ -319,7 +320,7 @@ def solve_simplex(
             max_iter,
         )
         if warm is not None:
-            warm.phase1_skipped = True
+            count("lp_phase1_skipped")
             return warm
 
     # Identify rows whose slack can serve as the initial basis (slack
@@ -426,14 +427,13 @@ def solve_simplex(
             tab2.table[i, :] /= value
     tab2.price_out()
     status = tab2.run(max_iter)
-    if status == "unbounded":
-        sol = Solution(SolveStatus.UNBOUNDED, backend=BACKEND_NAME)
-        sol.phase1_iterations = iterations1
-        sol.phase1_skipped = iterations1 == 0
-        return sol
-    if status != "optimal":
+    if status not in ("optimal", "unbounded"):
         return Solution(SolveStatus.ERROR, backend=BACKEND_NAME)
-    sol = _extract(
+    count("lp_phase1_iterations", iterations1)
+    count("lp_phase1_skipped", int(iterations1 == 0))
+    if status == "unbounded":
+        return Solution(SolveStatus.UNBOUNDED, backend=BACKEND_NAME)
+    return _extract(
         tab2,
         c,
         shift,
@@ -445,9 +445,6 @@ def solve_simplex(
         source_rows,
         source_rhs,
     )
-    sol.phase1_iterations = iterations1
-    sol.phase1_skipped = iterations1 == 0
-    return sol
 
 
 def _basis_labels(

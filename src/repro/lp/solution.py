@@ -36,35 +36,6 @@ class Solution:
     #: ``None`` for backends that don't expose one.  Feed it back via
     #: ``warm_basis=`` to warm-start a re-solve.
     basis: Optional[Tuple[Tuple[str, object], ...]] = None
-    #: Basis (re)factorization counters of the revised simplex: total LU
-    #: factorizations performed during the solve, and how many of those
-    #: were mid-solve refactorizations (eta chain full or an unsafe
-    #: pivot).  Zero for backends without a factorized basis.
-    factorizations: int = 0
-    refactorizations: int = 0
-    #: Cold-solve phase breakdown of the revised simplex (seconds spent
-    #: LU-factorizing the basis, in ftran/btran triangular solves, and
-    #: in Bland pricing), plus the total packed length of the eta file
-    #: (entries appended across the solve).  Zero for other backends.
-    factorize_s: float = 0.0
-    ftran_btran_s: float = 0.0
-    pricing_s: float = 0.0
-    eta_len: int = 0
-    #: Presolve observability (:mod:`repro.lp.presolve`): wall-clock
-    #: spent reducing, and how many rows/columns the reductions removed
-    #: before the backend saw the problem.  Zero when presolve was off
-    #: or the identity.
-    presolve_s: float = 0.0
-    presolve_rows_eliminated: int = 0
-    presolve_cols_eliminated: int = 0
-    #: Phase-1 / dual re-solve observability: dual-simplex pivots taken
-    #: by the re-solve path (:mod:`repro.lp.dual`), primal phase-1
-    #: iterations performed, and whether the solve did *zero* phase-1
-    #: work (warm start, dual re-solve, or a crash basis covering every
-    #: row).
-    dual_iterations: int = 0
-    phase1_iterations: int = 0
-    phase1_skipped: bool = False
 
     @property
     def is_optimal(self) -> bool:

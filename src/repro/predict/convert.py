@@ -40,11 +40,11 @@ from ..analysis.tables import TableResult
 from ..apps.registry import get_application, resolve_app_id
 from ..core.config import SherlockConfig
 from ..core.pipeline import Sherlock
+from ..metrics import RunMetrics
 from ..racedet.annotations import manual_spec, sherlock_spec
 from ..racedet.fasttrack import analyze_run
 from ..racedet.spec import HappensBeforeSpec
 from ..runtime.engine import ExecutionRuntime
-from ..runtime.metrics import RunMetrics
 from ..sim.runner import RunOptions, run_application
 from ..sim.schedule import directed_spec, parse_target
 from .harness import predict_app, predictive_name

@@ -10,7 +10,8 @@ The runtime layer sits between the SherLock pipeline and the simulator:
 * :class:`TraceCache` — content-addressed memoization of observed rounds
   (in-memory LRU + optional on-disk JSON store under ``.repro_cache/``);
 * :class:`RunMetrics` — per-phase timings and cache/LP/engine counters
-  surfaced on round results and reports.
+  surfaced on round results and reports (re-exported from
+  :mod:`repro.metrics`, where the recorder lives).
 
 All engines and cached runs are guaranteed to serialize byte-identically
 to serial cold runs; see DESIGN.md § "Runtime" and § "Engines and the
@@ -30,7 +31,6 @@ from .engine import ExecutionRuntime, ObserveOutcome
 from .engines import (
     AsyncEngine,
     Engine,
-    EngineMetrics,
     ProcessEngine,
     SerialEngine,
     coerce_engine,
@@ -38,14 +38,13 @@ from .engines import (
     parse_engine_spec,
     validate_engine_spec,
 )
-from .metrics import RunMetrics
+from ..metrics import RunMetrics
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
     "DEFAULT_CACHE_DIR",
     "AsyncEngine",
     "Engine",
-    "EngineMetrics",
     "ExecutionRuntime",
     "ObserveOutcome",
     "ProcessEngine",

@@ -47,11 +47,6 @@ class ObserveOutcome:
     workers_used: int = 1
     #: Name of the engine that produced the round ("cache" on hits).
     engine: str = "serial"
-    #: Per-round engine counters (see
-    #: :class:`~repro.runtime.engines.EngineMetrics`); zero on cache hits.
-    jobs_cancelled: int = 0
-    concurrency_hwm: int = 0
-    await_s: float = 0.0
 
     @property
     def events_observed(self) -> int:
@@ -111,14 +106,15 @@ class ExecutionRuntime:
             cached = self.cache.get(key)
             if cached is not None:
                 return ObserveOutcome(cached, cache_hit=True, engine="cache")
-        before = self.engine.metrics.snapshot()
         with self._teardown_on_interrupt():
             executions, workers_used = self.engine.execute_round(
                 app, config, round_index, plan
             )
         if self.cache is not None:
             self.cache.put(key, executions)
-        return self._outcome(executions, workers_used, before)
+        return ObserveOutcome(
+            executions, workers_used=workers_used, engine=self.engine.name
+        )
 
     async def aobserve_round(
         self,
@@ -136,14 +132,15 @@ class ExecutionRuntime:
             cached = await self.cache.aget(key)
             if cached is not None:
                 return ObserveOutcome(cached, cache_hit=True, engine="cache")
-        before = self.engine.metrics.snapshot()
         with self._teardown_on_interrupt():
             executions, workers_used = await self.engine.aexecute_round(
                 app, config, round_index, plan
             )
         if self.cache is not None:
             await self.cache.aput(key, executions)
-        return self._outcome(executions, workers_used, before)
+        return ObserveOutcome(
+            executions, workers_used=workers_used, engine=self.engine.name
+        )
 
     @staticmethod
     def round_key(
@@ -206,22 +203,6 @@ class ExecutionRuntime:
 
     def _teardown_on_interrupt(self) -> "_TeardownOnInterrupt":
         return _TeardownOnInterrupt(self)
-
-    def _outcome(
-        self,
-        executions: List[TestExecution],
-        workers_used: int,
-        before: Any,
-    ) -> ObserveOutcome:
-        delta = self.engine.metrics.since(before)
-        return ObserveOutcome(
-            executions,
-            workers_used=workers_used,
-            engine=self.engine.name,
-            jobs_cancelled=delta.jobs_cancelled,
-            concurrency_hwm=delta.concurrency_hwm,
-            await_s=delta.await_s,
-        )
 
     def __enter__(self) -> "ExecutionRuntime":
         return self

@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import asyncio
 import os
-import time
 import warnings
 from abc import ABC, abstractmethod
 from concurrent.futures import Executor, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict
 from typing import (
     Any,
     Callable,
@@ -53,6 +52,7 @@ from typing import (
 from ..apps.registry import get_application, resolve_app_id
 from ..core.config import SherlockConfig
 from ..core.observer import Observer
+from ..metrics import count, timed
 from ..sim.program import Application, UnitTest
 from ..sim.runner import RunOptions, TestExecution, run_unit_test
 from ._sync import _run_sync
@@ -120,46 +120,6 @@ def _app_registered(app: Application) -> bool:
         return False
 
 
-# -- metrics -----------------------------------------------------------------
-
-
-@dataclass
-class EngineMetrics:
-    """Cumulative fan-out counters of one engine instance.
-
-    Observability only — like :class:`~repro.runtime.metrics.RunMetrics`
-    these never enter serialized reports.  Per-round deltas are computed
-    by the runtime via :meth:`snapshot` / :meth:`since`.
-    """
-
-    #: Jobs that ran to completion (cache hits never reach an engine).
-    jobs_completed: int = 0
-    #: Jobs cancelled cooperatively after a sibling failed (async only).
-    jobs_cancelled: int = 0
-    #: Most jobs ever in flight at once (1 for serial; the pool size for
-    #: process rounds that actually fanned out).
-    concurrency_hwm: int = 0
-    #: Seconds spent awaiting job fan-out (async engine only: wall time
-    #: between dispatching a batch and its last job settling).
-    await_s: float = 0.0
-
-    def snapshot(self) -> "EngineMetrics":
-        return replace(self)
-
-    def since(self, before: "EngineMetrics") -> "EngineMetrics":
-        """Counters accumulated after ``before`` was snapshotted (the
-        high-water mark is level-valued and carried over, not diffed)."""
-        return EngineMetrics(
-            jobs_completed=self.jobs_completed - before.jobs_completed,
-            jobs_cancelled=self.jobs_cancelled - before.jobs_cancelled,
-            concurrency_hwm=self.concurrency_hwm,
-            await_s=self.await_s - before.await_s,
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-
 # -- the interface -----------------------------------------------------------
 
 
@@ -180,9 +140,6 @@ class Engine(ABC):
     """
 
     name: ClassVar[str] = "abstract"
-
-    def __init__(self) -> None:
-        self.metrics = EngineMetrics()
 
     #: Concurrent jobs this engine runs at most (1 for serial).
     @property
@@ -282,11 +239,8 @@ class SerialEngine(Engine):
         return self.map_jobs(fn, payloads)
 
     def _count(self, jobs: int) -> None:
-        self.metrics.jobs_completed += jobs
         if jobs:
-            self.metrics.concurrency_hwm = max(
-                self.metrics.concurrency_hwm, 1
-            )
+            count("engine_concurrency_hwm", 1)
 
 
 # -- process pool ------------------------------------------------------------
@@ -411,11 +365,8 @@ class ProcessEngine(Engine):
         return self._pool
 
     def _count(self, jobs: int, used: int) -> None:
-        self.metrics.jobs_completed += jobs
         if jobs:
-            self.metrics.concurrency_hwm = max(
-                self.metrics.concurrency_hwm, min(used, jobs)
-            )
+            count("engine_concurrency_hwm", min(used, jobs))
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
@@ -442,8 +393,8 @@ class AsyncEngine(Engine):
     fresh by ``make_context``, like the serial path).
 
     Cancellation is cooperative: when a job raises, every task still
-    queued on the semaphore is cancelled (counted in
-    ``metrics.jobs_cancelled``) and in-flight worker threads are awaited
+    queued on the semaphore is cancelled (counted as
+    ``engine_jobs_cancelled``) and in-flight worker threads are awaited
     to completion before the original exception propagates — no orphaned
     threads, no half-delivered batches.
     """
@@ -500,9 +451,7 @@ class AsyncEngine(Engine):
         async def one_job(payload: Any) -> Any:
             async with semaphore:
                 self._in_flight += 1
-                self.metrics.concurrency_hwm = max(
-                    self.metrics.concurrency_hwm, self._in_flight
-                )
+                count("engine_concurrency_hwm", self._in_flight)
                 try:
                     return await asyncio.to_thread(fn, payload)
                 finally:
@@ -511,23 +460,20 @@ class AsyncEngine(Engine):
         tasks = [
             asyncio.ensure_future(one_job(payload)) for payload in payloads
         ]
-        t_start = time.perf_counter()
-        try:
-            results = await asyncio.gather(*tasks)
-        except BaseException:
-            for task in tasks:
-                task.cancel()
-            settled = await asyncio.gather(*tasks, return_exceptions=True)
-            self.metrics.jobs_cancelled += sum(
-                1
-                for outcome in settled
-                if isinstance(outcome, asyncio.CancelledError)
-            )
-            raise
-        finally:
-            self.metrics.await_s += time.perf_counter() - t_start
-        self.metrics.jobs_completed += len(results)
-        return results
+        with timed("engine_await_s"):
+            try:
+                return await asyncio.gather(*tasks)
+            except BaseException:
+                for task in tasks:
+                    task.cancel()
+                settled = await asyncio.gather(*tasks, return_exceptions=True)
+                cancelled = sum(
+                    1
+                    for outcome in settled
+                    if isinstance(outcome, asyncio.CancelledError)
+                )
+                count("engine_jobs_cancelled", cancelled)
+                raise
 
     def __repr__(self) -> str:
         return f"AsyncEngine(concurrency={self._concurrency})"
@@ -613,7 +559,6 @@ def coerce_engine(
 __all__ = [
     "AsyncEngine",
     "Engine",
-    "EngineMetrics",
     "EngineSpec",
     "ProcessEngine",
     "SerialEngine",

@@ -23,6 +23,7 @@ import json
 import pytest
 
 from repro.apps.registry import all_applications, get_application
+from repro.apps.synth import SynthSpec, build_synth_app
 from repro.core import SherlockConfig
 from repro.core.pipeline import Sherlock
 from repro.core.serialize import report_to_dict
@@ -83,10 +84,10 @@ def test_presolve_flag_byte_identical_below_gate(app_id):
 
 
 def test_presolve_and_phase1_counters_flow_to_metrics():
-    """The presolve / phase-1 counters flow from the solver through
-    InferenceResult to RunMetrics: warm-started incremental rounds skip
-    phase 1 entirely, the counters aggregate across rounds, and
-    ``describe()`` surfaces them for ``--stats``."""
+    """The presolve / phase-1 counters recorded by the solver reach
+    RunMetrics: warm-started incremental rounds skip phase 1 entirely,
+    the counters aggregate across rounds, and ``describe()`` surfaces
+    them for ``--stats``."""
     report = Sherlock(
         get_application(APP_IDS[1]),
         SherlockConfig(rounds=3, backend="simplex"),
@@ -102,6 +103,21 @@ def test_presolve_and_phase1_counters_flow_to_metrics():
     described = metrics.describe()
     assert "presolve" in described
     assert "phase-1 skipped" in described
+
+
+def test_scale_tier_warm_rounds_skip_phase1():
+    """Above the 4096-column gate (~3k variables here) presolve reduces
+    every round, and the warm rounds re-enter through the carried basis
+    or the dual simplex: three revised-simplex rounds do no phase-1 work
+    at all, and the presolve reductions show up in the metrics."""
+    app = build_synth_app(
+        SynthSpec(app_id="App-XLw", pairs=3, fields_per_pair=12, episodes=6)
+    )
+    report = Sherlock(app, SherlockConfig(rounds=3, backend="simplex")).run()
+    metrics = report.metrics
+    assert metrics.lp_phase1_skipped == 3
+    assert metrics.lp_phase1_iterations == 0
+    assert metrics.lp_presolve_rows > 0
 
 
 def test_revised_backend_reports_factorization_metrics():

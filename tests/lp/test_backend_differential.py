@@ -24,7 +24,7 @@ simplex never densifies the constraint matrix in its hot path.
 import inspect
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.lp import (
@@ -122,6 +122,18 @@ def _check_feasible(model, sol, tol=1e-7):
 
 @settings(max_examples=200, deadline=None)
 @given(spec=lp_specs())
+# Unbounded (x = (0, 6, 0, 0, 4) is feasible and (0, 1.5, 0, 0, 1)
+# improves without bound) although HiGHS presolve calls it infeasible.
+@example(
+    spec=(
+        [(0.0, 1.0), (0.0, None), (0.0, 1.0), (0.0, 1.0), (0.0, None)],
+        [0.0, -2.0, 0.0, 0.0, -2.0],
+        [
+            ([-2.0, -2.0, -2.0, -2.0, 1.0], "<=", -2.0),
+            ([-2.0, 1.0, 1.0, -2.0, -2.0], "<=", -2.0),
+        ],
+    )
+)
 def test_three_backends_agree(spec):
     """Status, objective (1e-9), and own-point feasibility must match
     across revised, dense-tableau, and scipy on arbitrary LPs."""

@@ -19,6 +19,7 @@ import repro
 from repro.api import _shim_legacy_kwargs
 from repro.core import SherlockConfig
 from repro.core.serialize import report_to_dict
+from repro.metrics import recording
 from repro.runtime import (
     AsyncEngine,
     Engine,
@@ -151,11 +152,11 @@ class TestAsyncEngine:
             time.sleep(0.02)
             return i * i
 
-        results = engine.map_jobs(job, list(range(8)))
+        with recording() as metrics:
+            results = engine.map_jobs(job, list(range(8)))
         assert results == [i * i for i in range(8)]
-        assert 1 <= engine.metrics.concurrency_hwm <= 2
-        assert engine.metrics.jobs_completed == 8
-        assert engine.metrics.await_s > 0.0
+        assert 1 <= metrics.engine_concurrency_hwm <= 2
+        assert metrics.engine_await_s > 0.0
 
     def test_jobs_actually_overlap(self):
         # A two-party barrier only releases when two jobs are inside it
@@ -168,8 +169,9 @@ class TestAsyncEngine:
             barrier.wait()
             return i
 
-        assert engine.map_jobs(job, [0, 1]) == [0, 1]
-        assert engine.metrics.concurrency_hwm == 2
+        with recording() as metrics:
+            assert engine.map_jobs(job, [0, 1]) == [0, 1]
+        assert metrics.engine_concurrency_hwm == 2
 
     def test_failure_cancels_queued_jobs_and_propagates(self):
         engine = AsyncEngine(concurrency=1)
@@ -180,9 +182,10 @@ class TestAsyncEngine:
             time.sleep(0.2)
             return i
 
-        with pytest.raises(ValueError, match="job 0 failed"):
-            engine.map_jobs(job, [0, 1, 2])
-        assert engine.metrics.jobs_cancelled >= 1
+        with recording() as metrics:
+            with pytest.raises(ValueError, match="job 0 failed"):
+                engine.map_jobs(job, [0, 1, 2])
+        assert metrics.engine_jobs_cancelled >= 1
         # The engine stays usable after a failed batch.
         assert engine.map_jobs(lambda i: i + 1, [1, 2]) == [2, 3]
 
@@ -279,10 +282,10 @@ class TestRuntimeLifecycle:
     def test_runtime_reports_engine_name_in_outcome(self):
         config = SherlockConfig(rounds=1, seed=0)
         app = repro.get_application("App-5")
-        with ExecutionRuntime(engine="async:2") as rt:
+        with ExecutionRuntime(engine="async:2") as rt, recording() as metrics:
             outcome = rt.observe_round(app, config, 0)
         assert outcome.engine == "async"
-        assert outcome.concurrency_hwm >= 1
+        assert metrics.engine_concurrency_hwm >= 1
 
     def test_cache_hit_skips_engine(self):
         config = SherlockConfig(rounds=1, seed=0)
@@ -290,10 +293,11 @@ class TestRuntimeLifecycle:
         cache = TraceCache()
         with ExecutionRuntime(engine="serial", cache=cache) as rt:
             rt.observe_round(app, config, 0)
-            outcome = rt.observe_round(app, config, 0)
+            with recording() as metrics:
+                outcome = rt.observe_round(app, config, 0)
         assert outcome.cache_hit
         assert outcome.engine == "cache"
-        assert outcome.concurrency_hwm == 0
+        assert metrics.engine_concurrency_hwm == 0
 
 
 class TestEngineAbstractInterface:
