@@ -6,8 +6,8 @@ Public API tour:
 * :func:`repro.run` — the one-call entry point: resolve an app, run the
   multi-round pipeline (optionally across worker processes and against a
   trace cache), return a :class:`~repro.core.SherlockReport`.
-* :mod:`repro.runtime` — the execution runtime: process-pool fan-out,
-  content-addressed trace caching, per-phase :class:`RunMetrics`.
+* :mod:`repro.runtime` — the execution runtime: serial or process-pool
+  engines, content-addressed trace caching, per-phase :class:`RunMetrics`.
 * :mod:`repro.sim` — the deterministic concurrent-program simulator and
   its .NET-style synchronization primitives.
 * :mod:`repro.core` — SherLock itself: :class:`~repro.core.Sherlock`
@@ -33,15 +33,16 @@ Quickstart::
         print(sync.display())
     print(report.metrics.describe())   # phase timings, cache hits
 
-or, from async code (``engine="async"`` fan-out by default)::
+or, from async code (each round runs in a worker thread, so the event
+loop stays free)::
 
     report = await repro.arun("App-2", cache=True)
 
-``engine`` picks how unit-test jobs execute ("serial", "process[:N]"
-pool fan-out, "async[:N]" asyncio tasks with bounded concurrency);
-``cache`` memoizes observed rounds under ``.repro_cache/`` (or
-``"memory"`` for an LRU-only store).  Neither changes results: all
-engines and warm-cache runs serialize byte-identically.
+``engine`` picks how unit-test jobs execute ("serial", or "process[:N]"
+pool fan-out); ``cache`` memoizes observed rounds under
+``.repro_cache/`` (or ``"memory"`` for an LRU-only store).  Neither
+changes results: both engines and warm-cache runs serialize
+byte-identically.
 """
 
 from . import fuzz
@@ -52,11 +53,9 @@ from .core import (
     Sherlock,
     SherlockConfig,
     SherlockReport,
-    run_sherlock,
 )
 from .racedet import detect_races, manual_spec, sherlock_spec
 from .runtime import (
-    AsyncEngine,
     Engine,
     ExecutionRuntime,
     ProcessEngine,
@@ -66,10 +65,9 @@ from .runtime import (
 )
 from .trace import OpRef, OpType, Role, SyncOp, TraceEvent, TraceLog
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
-    "AsyncEngine",
     "Engine",
     "ExecutionRuntime",
     "ProcessEngine",
@@ -96,6 +94,5 @@ __all__ = [
     "manual_spec",
     "predict_races",
     "run",
-    "run_sherlock",
     "sherlock_spec",
 ]

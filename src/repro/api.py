@@ -5,19 +5,13 @@ application, builds an :class:`~repro.runtime.engine.ExecutionRuntime`
 (pluggable engine + trace cache), runs the full multi-round SherLock
 pipeline, and returns the :class:`~repro.core.pipeline.SherlockReport`.
 ``repro.arun`` is the asyncio-native twin (``await repro.arun("App-2")``)
-and defaults to the async engine; both produce byte-identical reports
-for the same inputs regardless of engine.
-
-The legacy ``workers=`` / ``runtime=`` kwargs of :func:`run` are folded
-into the ``engine=`` spec (``workers=4`` ≡ ``engine="process:4"``, a
-pre-built runtime is passed as ``engine=`` directly); they keep working
-for one release and emit :class:`DeprecationWarning`.
+with the same defaults; both produce byte-identical reports for the same
+inputs regardless of engine.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Optional, Union
 
 from .apps.registry import get_application
@@ -31,9 +25,9 @@ from .sim.program import Application
 
 CacheSpec = Union[None, bool, str, "os.PathLike[str]", TraceCache]
 
-#: ``engine=`` accepts a spec string ("serial" | "process[:N]" |
-#: "async[:N]"), a live :class:`Engine`, or a caller-owned
-#: :class:`ExecutionRuntime` (used as-is and kept open).
+#: ``engine=`` accepts a spec string ("serial" | "process[:N]"), a live
+#: :class:`Engine`, or a caller-owned :class:`ExecutionRuntime` (used
+#: as-is and kept open).
 RunEngineSpec = Union[None, str, Engine, ExecutionRuntime]
 
 
@@ -64,53 +58,16 @@ def _resolve_app(app_or_id: Union[Application, str]) -> Application:
     )
 
 
-def _shim_legacy_kwargs(
-    engine: RunEngineSpec,
-    workers: Optional[int],
-    runtime: Optional[ExecutionRuntime],
-) -> RunEngineSpec:
-    """Map the deprecated ``workers=`` / ``runtime=`` kwargs onto the
-    ``engine=`` spec (one release of back-compat, warning once per call
-    site)."""
-    if runtime is not None:
-        if engine is not None:
-            raise TypeError(
-                "pass either engine= or the deprecated runtime=, not both"
-            )
-        warnings.warn(
-            "repro.run(runtime=...) is deprecated; pass the runtime as "
-            "engine= instead (repro.run(..., engine=runtime))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        engine = runtime
-    if workers is not None:
-        if engine is not None:
-            raise TypeError(
-                "pass either engine= or the deprecated workers=, not both"
-            )
-        warnings.warn(
-            "repro.run(workers=N) is deprecated; use "
-            "engine='process:N' (or engine='serial') instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        engine = "serial" if workers == 1 else f"process:{workers}"
-    return engine
-
-
 def _config_engine_spec(
-    engine: RunEngineSpec,
-    config: Optional[SherlockConfig],
-    default: str = "auto",
+    engine: RunEngineSpec, config: Optional[SherlockConfig]
 ) -> Union[str, Engine]:
     """The engine spec to build a runtime from: the explicit ``engine=``
-    argument, else ``config.engine``, else ``default``."""
+    argument, else ``config.engine``."""
     if engine is not None:
         return engine  # type: ignore[return-value]  (never a runtime here)
-    if config is not None and config.engine != "auto":
+    if config is not None:
         return config.engine
-    return default
+    return "auto"
 
 
 def run(
@@ -120,8 +77,6 @@ def run(
     rounds: Optional[int] = None,
     engine: RunEngineSpec = None,
     cache: CacheSpec = None,
-    workers: Optional[int] = None,
-    runtime: Optional[ExecutionRuntime] = None,
 ) -> SherlockReport:
     """Run SherLock on an application and return its report.
 
@@ -141,8 +96,7 @@ def run(
         actually ran).
     engine:
         How to execute unit-test jobs: ``"serial"`` (default),
-        ``"process[:N]"`` (process pool), ``"async[:N]"`` (asyncio
-        fan-out with bounded concurrency), a live
+        ``"process[:N]"`` (process pool), a live
         :class:`~repro.runtime.engines.Engine`, or a pre-built
         :class:`ExecutionRuntime` (used as-is and kept open; its cache
         wins over ``cache=``).  ``None`` falls back to
@@ -151,12 +105,7 @@ def run(
         ``True`` / ``"memory"`` / a directory path / a
         :class:`TraceCache` to memoize observed rounds; ``None``
         disables caching.
-    workers:
-        Deprecated — ``workers=N`` is ``engine="process:N"``.
-    runtime:
-        Deprecated — pass the runtime as ``engine=`` instead.
     """
-    engine = _shim_legacy_kwargs(engine, workers, runtime)
     app = _resolve_app(app_or_id)
     if isinstance(engine, ExecutionRuntime):
         return Sherlock(app, config, runtime=engine).run(rounds=rounds)
@@ -175,18 +124,17 @@ async def arun(
 ) -> SherlockReport:
     """Async-native :func:`run`: ``await repro.arun("App-2")``.
 
-    Runs on the caller's event loop; trace-cache disk I/O and job
-    fan-out happen in worker threads so the loop stays responsive.
-    Defaults to the async engine (``engine="async"``) when neither the
-    ``engine=`` argument nor ``config.engine`` chooses one — byte-for-
-    byte the same report either way.
+    Runs on the caller's event loop; trace-cache disk I/O and each
+    round's test execution happen in worker threads, so the loop stays
+    responsive.  Same arguments and defaults as :func:`run`, and
+    byte-for-byte the same report.
     """
     app = _resolve_app(app_or_id)
     if isinstance(engine, ExecutionRuntime):
         return await Sherlock(app, config, runtime=engine).arun(
             rounds=rounds
         )
-    spec = _config_engine_spec(engine, config, default="async")
+    spec = _config_engine_spec(engine, config)
     rt = ExecutionRuntime(engine=spec, cache=coerce_cache(cache))
     try:
         return await Sherlock(app, config, runtime=rt).arun(rounds=rounds)

@@ -122,10 +122,10 @@ def _add_shared_options(parser: argparse.ArgumentParser, suppress: bool) -> None
         help="worker processes for test execution (default 1 = serial)",
     )
     parser.add_argument(
-        "--engine", choices=["serial", "process", "async"],
+        "--engine", choices=["serial", "process"],
         default=default(None),
         help="execution engine (default: serial, or a process pool when "
-        "--workers > 1); --workers sizes process/async concurrency",
+        "--workers > 1); --workers sizes the process pool",
     )
     parser.add_argument(
         "--cache", nargs="?", const=DEFAULT_CACHE_DIR, default=default(None),
@@ -136,18 +136,6 @@ def _add_shared_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     parser.add_argument(
         "--stats", action="store_true", default=default(False),
         help="print per-phase timings and cache hit/miss counters",
-    )
-    # Paired flags instead of BooleanOptionalAction (Python 3.9 CI).
-    parser.add_argument(
-        "--presolve", dest="presolve", action="store_true",
-        default=default(True),
-        help="LP presolve above the 4096-column gate (default on; "
-        "identity below the gate either way)",
-    )
-    parser.add_argument(
-        "--no-presolve", dest="presolve", action="store_false",
-        default=default(True),
-        help="disable LP presolve everywhere (escape hatch)",
     )
 
 
@@ -313,9 +301,7 @@ def _print_stats(report, runtime: ExecutionRuntime) -> None:
 
 def _cmd_infer(args, runtime: ExecutionRuntime) -> int:
     app = get_application(args.app_id)
-    config = SherlockConfig(
-        rounds=args.rounds, seed=args.seed, presolve=args.presolve
-    )
+    config = SherlockConfig(rounds=args.rounds, seed=args.seed)
     report = run(app, config, engine=runtime)
     gt = app.ground_truth
     print(report.describe())
@@ -334,9 +320,7 @@ def _cmd_infer(args, runtime: ExecutionRuntime) -> int:
 
 def _cmd_races(args, runtime: ExecutionRuntime) -> int:
     app = get_application(args.app_id)
-    config = SherlockConfig(
-        rounds=args.rounds, seed=args.seed, presolve=args.presolve
-    )
+    config = SherlockConfig(rounds=args.rounds, seed=args.seed)
     report = run(app, config, engine=runtime)
     manual = detect_races(app, manual_spec(app), seed=args.seed)
     inferred = detect_races(app, sherlock_spec(report.final), seed=args.seed)

@@ -11,7 +11,7 @@ from .config import SherlockConfig, TABLE5_ABLATIONS
 from .encoder import build_model
 from .observer import Observer
 from .perturber import build_delay_plan
-from .pipeline import RoundResult, Sherlock, SherlockReport, run_sherlock
+from .pipeline import RoundResult, Sherlock, SherlockReport
 from .serialize import dump_report, load_syncs, report_to_dict
 from .solver import InferenceResult, SolverError, infer
 from .stats import MethodStats, ObservationStore
@@ -38,5 +38,4 @@ __all__ = [
     "report_to_dict",
     "build_model",
     "infer",
-    "run_sherlock",
 ]

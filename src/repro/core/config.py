@@ -50,18 +50,6 @@ class SherlockConfig:
     #: revised simplex, the built-in default) | "dense-tableau" (the
     #: historical dense reference implementation).
     backend: str = "auto"
-    #: Use the analysis fast path: indexed window extraction plus the
-    #: incremental round-over-round encoder/solver.  ``False`` keeps the
-    #: historical all-pairs + rebuild-from-scratch path alive for
-    #: differential testing; both produce byte-identical reports.
-    incremental: bool = True
-    #: LP presolve (:mod:`repro.lp.presolve`): reduce scale-tier-sized
-    #: standard forms (duplicate/twin row merging, fixed/empty column
-    #: elimination, equilibration scaling) before the backend solves
-    #: them, with an exact postsolve.  Identity below the 4096-column
-    #: gate, so paper-sized reports are byte-identical either way;
-    #: ``False`` is the escape hatch that disables it everywhere.
-    presolve: bool = True
 
     # -- Perturber (§3, §4.3) --------------------------------------------------
     #: Injected delay before each inferred-release instance, seconds.
@@ -77,8 +65,7 @@ class SherlockConfig:
     #: "pct"/"pct:<change-prob>" (priority-based schedule exploration).
     schedule_policy: str = "random"
     #: Execution-engine spec used when no runtime/engine is supplied at
-    #: the call site: "auto" (serial for ``repro.run``, async for
-    #: ``repro.arun``) | "serial" | "process[:N]" | "async[:N]".
+    #: the call site: "auto" (serial) | "serial" | "process[:N]".
     #: Execution-only: engines never change results (byte-identical
     #: reports), so this is not part of trace-cache keys or serialized
     #: reports.
@@ -132,10 +119,6 @@ class SherlockConfig:
             raise ValueError(
                 f"unknown LP backend {self.backend!r}; choose from "
                 f"{sorted(available_backends())}"
-            )
-        if not isinstance(self.presolve, bool):
-            raise ValueError(
-                f"presolve must be True or False, got {self.presolve!r}"
             )
         if self.lam < 0:
             raise ValueError("lambda must be non-negative")

@@ -257,7 +257,6 @@ class IncrementalEncoder:
             backend,
             form=form,
             warm_basis=self._warm_basis,
-            presolve=self.config.presolve,
         )
         self._warm_basis = solution.basis
         return solution

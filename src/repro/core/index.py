@@ -1,18 +1,17 @@
-"""Per-log indexes for the window-extraction fast path.
+"""Per-log indexes for window extraction.
 
-The all-pairs extraction loop in :mod:`repro.core.windows` re-scans the
-whole trace for every window it builds: ``log.between`` walks the log
-from event 0, ``_innermost_open_call`` replays every thread's call stack
-from the start, and the conflicting-pair scan considers every later
-access for every endpoint.  :class:`TraceIndex` precomputes, once per
-log:
+A naive extractor re-scans the whole trace for every window it builds:
+the window body walks the log from event 0, "which call is this thread
+inside?" replays the thread's call stack from the start, and the
+conflicting-pair scan considers every later access for every endpoint.
+:class:`TraceIndex` precomputes, once per log:
 
 * **conflict groups** — accesses bucketed by the static identity that
   can ever conflict (``(is_memory, address, field)`` for heap accesses,
   ``(is_memory, address)`` for thread-unsafe API calls), so the pair
   scan only visits accesses that share a group;
-* **timestamp array** — a bisect-able view of the event list so window
-  bodies are slices instead of scans;
+* **per-thread timestamp arrays** — bisect-able views of each thread's
+  events, so window bodies are slices instead of scans;
 * **open-call interval index** — per-thread change points of the
   innermost open ENTER, so "which call was thread T inside at time t?"
   is one bisect;
@@ -22,12 +21,11 @@ log:
   extractor always needed, computed in the same pass.
 
 Every query is defined to return *exactly* what the corresponding
-linear-scan code in :class:`~repro.core.windows.WindowExtractor` returns
-— the indexed and all-pairs extraction paths are differentially tested
-for equality.  Logs whose events are not in non-decreasing timestamp
-order (which the kernel never produces, but arbitrary hand-built logs
-may be) are flagged ``sorted=False`` and the extractor falls back to
-the linear scans for them.
+linear scan returns: the all-pairs reference extractor in
+``tests/oracles/windows.py`` answers the same queries that way, and the
+two are differentially tested for equality.  The index is only defined
+over time-ordered logs with dense ``seq`` stamps (as the kernel always
+produces); any other log is rejected with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -55,23 +53,35 @@ def group_key(event: TraceEvent) -> GroupKey:
     return (False, event.address, None)
 
 
+def _first_defect(events: Sequence[TraceEvent]) -> Optional[str]:
+    """Why ``events`` cannot be indexed, or ``None``: the first event
+    whose ``seq`` is not its position (``seq`` keys the ref table) or
+    whose timestamp runs backwards (bodies are bisected by time)."""
+    last = float("-inf")
+    for i, e in enumerate(events):
+        if e.seq != i:
+            return f"seq not dense: event {i} has seq {e.seq}"
+        if e.timestamp < last:
+            return (
+                f"timestamp ran backwards at seq {i}: "
+                f"{e.timestamp} < {last}"
+            )
+        last = e.timestamp
+    return None
+
+
 class TraceIndex:
-    """Precomputed queries over one run's :class:`TraceLog`."""
+    """Precomputed queries over one run's :class:`TraceLog`.
+
+    Raises ``ValueError`` for a log that is not time-ordered with dense
+    ``seq`` stamps.
+    """
 
     def __init__(self, log: TraceLog) -> None:
-        self.log = log
         events = log.events
-        self.timestamps: List[float] = [e.timestamp for e in events]
-        self.sorted: bool = all(
-            self.timestamps[i] <= self.timestamps[i + 1]
-            for i in range(len(self.timestamps) - 1)
-        )
-        #: ``seq`` stamps are the positional indexes ``TraceLog.append``
-        #: assigns; hand-built logs that bypassed ``append`` fall back to
-        #: the linear-scan path (their ``seq`` cannot key the ref table).
-        seq_ok = all(e.seq == i for i, e in enumerate(events))
-        #: Whether the fast extraction path may use this index at all.
-        self.indexable: bool = self.sorted and seq_ok
+        defect = _first_defect(events)
+        if defect is not None:
+            raise ValueError(f"cannot index run {log.run_id}: {defect}")
         # -- interned static refs (one OpRef per distinct (name, optype)) --
         #: ``ref_ids[event.seq]`` is a dense small-int id of the event's
         #: static op; ``ref_objs[rid]`` the shared OpRef instance.  Lets
@@ -112,8 +122,8 @@ class TraceIndex:
                 if matched:
                     self.exit_to_enter[e.seq] = matched.pop()
                 stack = open_stacks.setdefault(e.thread_id, [])
-                # Innermost matching ENTER and everything above it close,
-                # mirroring WindowExtractor._innermost_open_call exactly.
+                # Innermost matching ENTER and everything above it close
+                # (an EXIT with no open match closes nothing).
                 for i in range(len(stack) - 1, -1, -1):
                     if stack[i].name == e.name:
                         del stack[i:]
@@ -132,14 +142,6 @@ class TraceIndex:
             delays.sort(key=lambda d: d.start)  # stable: ties keep log order
 
     # -- queries ---------------------------------------------------------------
-
-    def between(self, t_start: float, t_end: float) -> Sequence[TraceEvent]:
-        """Events with ``t_start < t < t_end``, like ``TraceLog.between``."""
-        if not self.sorted:
-            return self.log.between(t_start, t_end)
-        lo = bisect_right(self.timestamps, t_start)
-        hi = bisect_left(self.timestamps, t_end, lo)
-        return self.log.events[lo:hi]
 
     def thread_between(
         self, thread_id: int, t_start: float, t_end: float

@@ -7,19 +7,18 @@ next round's delay plan.  No delay is injected in the first round.
 
 Test execution is delegated to an
 :class:`~repro.runtime.engine.ExecutionRuntime`, which may fan tests out
-across a process pool or asyncio tasks (``config.engine``) and/or replay
-rounds from a trace cache; the default runtime is serial and cache-less,
-matching historic behavior.  The pipeline itself is asyncio-native —
-:meth:`Sherlock.arun` is the implementation, :meth:`Sherlock.run` a
-synchronous façade over it — and each round runs inside one
-:func:`~repro.metrics.recording`, whose :class:`~repro.metrics.RunMetrics`
-(per-phase timings, cache, LP and engine counters, each counted where the
-work happens) becomes the round's ``metrics``.
+across a process pool (``config.engine``) and/or replay rounds from a
+trace cache; the default runtime is serial and cache-less.  The
+pipeline itself is asyncio-native — :meth:`Sherlock.arun` is the
+implementation, :meth:`Sherlock.run` a synchronous façade over it — and
+each round runs inside one :func:`~repro.metrics.recording`, whose
+:class:`~repro.metrics.RunMetrics` (per-phase timings, cache, LP and
+engine counters, each counted where the work happens) becomes the
+round's ``metrics``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -139,7 +138,7 @@ class Sherlock:
         store = ObservationStore()
         delay_plan: Dict[OpRef, float] = {}
         round_results: List[RoundResult] = []
-        encoder = IncrementalEncoder(config) if config.incremental else None
+        encoder = IncrementalEncoder(config)
 
         for round_index in range(config.rounds):
             with recording() as metrics:
@@ -196,24 +195,10 @@ class Sherlock:
             near=config.near,
             window_cap=config.window_cap,
             refine=config.enable_window_refinement,
-            indexed=config.incremental,
         )
         for execution in executions:
             windows = extractor.extract(execution.log)
             store.ingest_run(execution.log, windows)
 
 
-def run_sherlock(
-    app: Application, config: Optional[SherlockConfig] = None
-) -> SherlockReport:
-    """Deprecated one-call entry point; use :func:`repro.run` instead."""
-    warnings.warn(
-        "run_sherlock() is deprecated and will be removed in repro 2.0; "
-        "use repro.run(app_or_id, ...) (or repro.arun) instead",
-        FutureWarning,
-        stacklevel=2,
-    )
-    return Sherlock(app, config).run()
-
-
-__all__ = ["RoundResult", "Sherlock", "SherlockReport", "run_sherlock"]
+__all__ = ["RoundResult", "Sherlock", "SherlockReport"]

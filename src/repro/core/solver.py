@@ -64,11 +64,12 @@ def infer(
 ) -> InferenceResult:
     """Encode the store, solve, and threshold the probabilities.
 
-    With an ``encoder`` (see :class:`~repro.core.encoder.IncrementalEncoder`),
-    encoding appends this round's delta onto the encoder's persistent
-    model and the solve reuses the cached constraint-prefix lowering;
-    without one, the model is rebuilt from the whole store (historical
-    path, kept via ``SherlockConfig(incremental=False)``).  Both produce
+    With an ``encoder`` (see :class:`~repro.core.encoder.IncrementalEncoder`;
+    the pipeline always passes one), encoding appends this round's delta
+    onto the encoder's persistent model and the solve reuses the cached
+    constraint-prefix lowering.  Without one, the model is rebuilt from
+    the whole store with :func:`~repro.core.encoder.build_model` — what
+    one-off solves such as the λ-stability oracle want.  Both produce
     byte-identical results.
     """
     with timed("encode_s"):
@@ -85,7 +86,7 @@ def infer(
             delta_variables = encoder.last_delta_variables
             delta_constraints = encoder.last_delta_constraints
         else:
-            solution = model.solve(config.backend, presolve=config.presolve)
+            solution = model.solve(config.backend)
             delta_variables = len(model.variables)
             delta_constraints = len(model.constraints)
         if solution.status is not SolveStatus.OPTIMAL:

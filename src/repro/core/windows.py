@@ -28,7 +28,7 @@ refinement applies:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..trace.events import DelayInterval, TraceEvent
 from ..trace.log import TraceLog
@@ -73,24 +73,6 @@ def _is_access(event: TraceEvent) -> bool:
     )
 
 
-def _is_write_access(event: TraceEvent) -> bool:
-    if event.is_memory:
-        return event.is_write
-    return event.meta.get("unsafe_api") == "write"
-
-
-def _accesses_conflict(a: TraceEvent, b: TraceEvent) -> bool:
-    if a.thread_id == b.thread_id:
-        return False
-    if a.address != b.address:
-        return False
-    if a.is_memory != b.is_memory:
-        return False
-    if a.is_memory and a.name != b.name:
-        return False  # same field of the same object
-    return _is_write_access(a) or _is_write_access(b)
-
-
 #: Op types that can possibly play a release / acquire role (used for racy
 #: detection, which is about *capability*, not about the solver's choice).
 _RELEASE_CAPABLE = (OpType.WRITE, OpType.EXIT)
@@ -100,13 +82,10 @@ _ACQUIRE_CAPABLE = (OpType.READ, OpType.ENTER)
 class WindowExtractor:
     """Extracts windows from one run's log.
 
-    Two equivalent extraction paths exist: the indexed fast path
-    (default) buckets accesses into conflict groups and answers all
-    trace queries through a per-log :class:`~repro.core.index.TraceIndex`,
-    while the historical all-pairs path (``indexed=False``) rescans the
-    log per window.  Both return the same windows in the same order;
-    the all-pairs path is kept as the reference for differential tests
-    and via ``SherlockConfig(incremental=False)``.
+    Accesses are bucketed into conflict groups and every trace query is
+    answered through a per-log :class:`~repro.core.index.TraceIndex`.
+    The historical all-pairs scan this reproduces window for window
+    lives on as a test oracle (``tests/oracles/windows.py``).
     """
 
     def __init__(
@@ -116,7 +95,6 @@ class WindowExtractor:
         use_unsafe_api_list: bool = True,
         refine: bool = True,
         pre_gap: float = 0.02,
-        indexed: bool = True,
     ) -> None:
         self.near = near
         self.window_cap = window_cap
@@ -126,56 +104,25 @@ class WindowExtractor:
         #: the window — a delay ending just before ``a`` postponed ``a``
         #: itself, so the window's timing was manufactured by the Perturber.
         self.pre_gap = pre_gap
-        self.indexed = indexed
 
     def extract(self, log: TraceLog) -> List[Window]:
+        """Windows of ``log``, in all-pairs enumeration order.
+
+        Raises ``ValueError`` when ``log`` is not time-ordered with dense
+        ``seq`` stamps: windows are undefined over such a trace, the
+        kernel never produces one, and a corrupt cache entry must fail
+        loudly rather than yield silently wrong windows.
+        """
+        index = TraceIndex(log)
         accesses = [e for e in log if _is_access(e)]
         if not self.use_unsafe_api_list:
             accesses = [e for e in accesses if e.is_memory]
-        if self.indexed:
-            index = TraceIndex(log)
-            if index.indexable:
-                return self._extract_indexed(log, accesses, index)
-            # Unsorted logs (never produced by the kernel) keep the
-            # linear-scan semantics of the historical path.
-        return self._extract_allpairs(log, accesses)
-
-    def _extract_allpairs(
-        self, log: TraceLog, accesses: List[TraceEvent]
-    ) -> List[Window]:
-        """Historical O(n²) reference path."""
-        exit_to_enter = self._match_calls(log)
-        windows: List[Window] = []
-        counts: Dict[PairKey, int] = {}
-        for i, a in enumerate(accesses):
-            for b in accesses[i + 1:]:
-                if b.timestamp - a.timestamp > self.near:
-                    break
-                if not _accesses_conflict(a, b):
-                    continue
-                key = (a.ref, b.ref)
-                if counts.get(key, 0) >= self.window_cap:
-                    continue
-                counts[key] = counts.get(key, 0) + 1
-                windows.append(
-                    self._build_window(log, a, b, exit_to_enter)
-                )
-        return windows
-
-    def _extract_indexed(
-        self,
-        log: TraceLog,
-        accesses: List[TraceEvent],
-        index: TraceIndex,
-    ) -> List[Window]:
-        """Conflict-group scan: same pairs, same order, no all-pairs pass.
-
-        Iterating accesses in log order and, per endpoint, only that
-        endpoint's conflict group reproduces the all-pairs enumeration
-        order exactly: group members are a subsequence of the access
-        list, and any member past the ``Near`` cutoff would also have
-        broken the historical scan (timestamps are non-decreasing).
-        """
+        # Conflict-group scan.  Iterating accesses in log order and, per
+        # endpoint, only that endpoint's conflict group reproduces the
+        # all-pairs enumeration order exactly: group members are a
+        # subsequence of the access list, and any member past the
+        # ``Near`` cutoff would also have broken the all-pairs scan
+        # (timestamps are non-decreasing).
         groups = ConflictGroups(accesses)
         windows: List[Window] = []
         counts: Dict[Tuple[int, int], int] = {}
@@ -204,95 +151,24 @@ class WindowExtractor:
                 if seen >= cap:
                     continue
                 counts[key] = seen + 1
-                windows.append(self._build_window_indexed(log, a, b, index))
+                windows.append(self._pair_window(log, a, b, index))
         return windows
-
-    @staticmethod
-    def _match_calls(log: TraceLog) -> Dict[int, TraceEvent]:
-        """Map each EXIT event's seq to its matching ENTER event (per-thread
-        call-stack pairing)."""
-        stacks: Dict[Tuple[int, str], List[TraceEvent]] = {}
-        matched: Dict[int, TraceEvent] = {}
-        for e in log:
-            if e.optype is OpType.ENTER:
-                stacks.setdefault((e.thread_id, e.name), []).append(e)
-            elif e.optype is OpType.EXIT:
-                stack = stacks.get((e.thread_id, e.name))
-                if stack:
-                    matched[e.seq] = stack.pop()
-        return matched
 
     # -- construction -----------------------------------------------------------
 
-    def _build_window(
-        self,
-        log: TraceLog,
-        a: TraceEvent,
-        b: TraceEvent,
-        exit_to_enter: Dict[int, TraceEvent],
-        index: Optional[TraceIndex] = None,
-    ) -> Window:
-        window = Window(
-            pair_key=(a.ref, b.ref),
-            run_id=log.run_id,
-            a_time=a.timestamp,
-            b_time=b.timestamp,
-        )
-        body: Sequence[TraceEvent] = (
-            index.between(a.timestamp, b.timestamp)
-            if index is not None
-            else log.between(a.timestamp, b.timestamp)
-        )
-        release_events: List[TraceEvent] = [a]
-        acquire_events: List[TraceEvent] = [b]
-        for e in body:
-            if e.thread_id == a.thread_id:
-                release_events.append(e)
-            elif e.thread_id == b.thread_id:
-                acquire_events.append(e)
-
-        if self.refine:
-            release_events, acquire_events = self._apply_delays(
-                log, a, b, release_events, acquire_events, window, index
-            )
-
-        # A blocking call that was already in progress at Ta (or across an
-        # injected delay) but returned inside the window was *executing
-        # between Ta and Tb*: its invocation is a legitimate acquire
-        # candidate (think Monitor.Enter or Task.Wait blocked across the
-        # release).  Re-join the matching ENTER when it is not present.
-        present = {e.seq for e in acquire_events}
-        spanning: List[TraceEvent] = []
-        for e in acquire_events:
-            if e.optype is OpType.EXIT:
-                enter = exit_to_enter.get(e.seq)
-                if enter is not None and enter.seq not in present:
-                    spanning.append(enter)
-                    present.add(enter.seq)
-        acquire_events.extend(spanning)
-
-        for e in release_events:
-            window.release_side[e.ref] = window.release_side.get(e.ref, 0) + 1
-        for e in acquire_events:
-            window.acquire_side[e.ref] = window.acquire_side.get(e.ref, 0) + 1
-
-        window.racy = self._is_provably_racy(window)
-        return window
-
-    def _build_window_indexed(
+    def _pair_window(
         self,
         log: TraceLog,
         a: TraceEvent,
         b: TraceEvent,
         index: TraceIndex,
     ) -> Window:
-        """Index-backed twin of :meth:`_build_window`: the body is two
-        per-thread bisected slices (other threads' events never joined a
-        side anyway) and per-side occurrence counting runs on interned
-        small-int ref ids, converting to :class:`OpRef` keys once per
-        distinct op.  First-occurrence key order — which downstream
-        encoding order (and hence float identity) depends on — is
-        preserved."""
+        """The window of pair ``(a, b)``: the body is two per-thread
+        bisected slices (other threads' events never join a side) and
+        per-side occurrence counting runs on interned small-int ref ids,
+        converting to :class:`OpRef` keys once per distinct op.
+        First-occurrence key order — which downstream encoding order (and
+        hence float identity) depends on — is preserved."""
         ref_ids = index.ref_ids
         ref_objs = index.ref_objs
         window = Window(
@@ -312,10 +188,14 @@ class WindowExtractor:
 
         if self.refine:
             release_events, acquire_events = self._apply_delays(
-                log, a, b, release_events, acquire_events, window, index
+                a, b, release_events, acquire_events, window, index
             )
 
-        # Spanning-call rule, as in _build_window.
+        # A blocking call that was already in progress at Ta (or across an
+        # injected delay) but returned inside the window was *executing
+        # between Ta and Tb*: its invocation is a legitimate acquire
+        # candidate (think Monitor.Enter or Task.Wait blocked across the
+        # release).  Re-join the matching ENTER when it is not present.
         present = {e.seq for e in acquire_events}
         spanning: List[TraceEvent] = []
         for e in acquire_events:
@@ -348,37 +228,32 @@ class WindowExtractor:
 
     def _apply_delays(
         self,
-        log: TraceLog,
         a: TraceEvent,
         b: TraceEvent,
         release_events: List[TraceEvent],
         acquire_events: List[TraceEvent],
         window: Window,
-        index: Optional[TraceIndex] = None,
+        index: TraceIndex,
     ) -> Tuple[List[TraceEvent], List[TraceEvent]]:
-        if index is not None:
-            delay = index.relevant_delay(
-                a.thread_id, a.timestamp - self.pre_gap, b.timestamp
-            )
-        else:
-            delay = self._relevant_delay(log, a, b)
+        # The first delay in a's thread that shaped this window: it
+        # started inside the window, or it ended just before ``a``
+        # (postponing ``a`` and everything after it).
+        delay = index.relevant_delay(
+            a.thread_id, a.timestamp - self.pre_gap, b.timestamp
+        )
         if delay is None:
             return release_events, acquire_events
         window.refined = True
         if self._propagated(b, delay):
             # Figure 2 (c): trust r; acquire window shrinks to (r, b].
             # Calls blocked across the delay keep their EXITs here and are
-            # re-joined by the spanning-call rule in _build_window; the
+            # re-joined by the spanning-call rule in _pair_window; the
             # call b's thread is still inside when the delay ends (the one
             # actually blocked on the release) is recovered explicitly.
             refined = [
                 e for e in acquire_events if e.timestamp >= delay.end - 1e-12
             ]
-            blocked = (
-                index.innermost_open_call(b.thread_id, delay.end)
-                if index is not None
-                else self._innermost_open_call(log, b.thread_id, delay.end)
-            )
+            blocked = index.innermost_open_call(b.thread_id, delay.end)
             if blocked is not None and all(
                 e.seq != blocked.seq for e in refined
             ):
@@ -398,42 +273,6 @@ class WindowExtractor:
             if a.ref != delay.site:
                 release_events.append(a)
         return release_events, acquire_events
-
-    def _relevant_delay(
-        self, log: TraceLog, a: TraceEvent, b: TraceEvent
-    ) -> Optional[DelayInterval]:
-        """First delay in a's thread that shaped this window: it started
-        inside the window, or it ended just before ``a`` (postponing ``a``
-        and everything after it)."""
-        candidates = [
-            d
-            for d in log.delays
-            if d.thread_id == a.thread_id
-            and d.start < b.timestamp
-            and d.end > a.timestamp - self.pre_gap
-        ]
-        return min(candidates, key=lambda d: d.start) if candidates else None
-
-    @staticmethod
-    def _innermost_open_call(
-        log: TraceLog, thread_id: int, at_time: float
-    ) -> Optional[TraceEvent]:
-        """ENTER event of the innermost call ``thread_id`` is inside at
-        ``at_time`` (per-thread ENTER/EXIT stack scan)."""
-        stack: List[TraceEvent] = []
-        for e in log:
-            if e.timestamp >= at_time:
-                break
-            if e.thread_id != thread_id:
-                continue
-            if e.optype is OpType.ENTER:
-                stack.append(e)
-            elif e.optype is OpType.EXIT:
-                for i in range(len(stack) - 1, -1, -1):
-                    if stack[i].name == e.name:
-                        del stack[i:]
-                        break
-        return stack[-1] if stack else None
 
     @staticmethod
     def _propagated(b: TraceEvent, delay: DelayInterval) -> bool:

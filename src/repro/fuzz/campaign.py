@@ -52,7 +52,7 @@ class CampaignConfig:
     policy: str = "random"
     workers: int = 1
     #: Execution-engine spec for the schedule fan-out ("serial" |
-    #: "process[:N]" | "async[:N]"); ``None`` derives from ``workers``
+    #: "process[:N]"); ``None`` derives from ``workers``
     #: (process pool when > 1).  ``workers`` sizes an unsized spec.
     engine: Optional[str] = None
     #: λ-stability probe half-width (±fraction of config.lam).  ±1% is

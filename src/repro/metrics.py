@@ -16,9 +16,11 @@ declares once how it aggregates (summed unless its metadata says
 ``repro.lp.solve()`` callers pay nothing and see nothing.  The recorder
 lives in a ``contextvars.ContextVar``: a nested recording shadows the
 outer one until it exits, and asyncio tasks spawned inside a recording
-report into it.  :func:`count` is a plain read-modify-write, so only one
-thread records into a recording at a time: the engines count on their
-dispatcher side, and job bodies running in worker threads or processes
+report into it, as do functions run through ``asyncio.to_thread``
+(which copies the context).  :func:`count` is a plain read-modify-write,
+so only one thread records into a recording at a time: the engines count
+on their dispatcher side (the thread running ``execute_round``, while
+the event loop awaits it), and job bodies running in worker processes
 never call it.
 
 Metrics are observability data only: they are intentionally excluded
@@ -113,12 +115,8 @@ class RunMetrics:
     convert_runs: int = 0
     #: Worker-process count of the runtime that produced the traces.
     workers: int = _peak(1)
-    #: Engine fan-out counters: most jobs in flight at once, jobs
-    #: cancelled after a sibling failed (async engine), and wall seconds
-    #: spent awaiting job batches (async engine).  Zero on cache hits.
+    #: Most engine jobs in flight at once.  Zero on cache hits.
     engine_concurrency_hwm: int = _peak()
-    engine_jobs_cancelled: int = 0
-    engine_await_s: float = 0.0
 
     @property
     def total_s(self) -> float:
@@ -180,10 +178,7 @@ class RunMetrics:
                 f"re-solve: {self.lp_dual_iterations} dual pivots, "
                 f"{self.lp_phase1_iterations} phase-1 iterations, "
                 f"phase-1 skipped in {self.lp_phase1_skipped} round(s)",
-                f"engine: concurrency hwm "
-                f"{self.engine_concurrency_hwm}, "
-                f"{self.engine_jobs_cancelled} cancelled jobs, "
-                f"await {self.engine_await_s:.3f}s",
+                f"engine: concurrency hwm {self.engine_concurrency_hwm}",
                 f"convert: {self.convert_targets} targets, "
                 f"{self.convert_converted} converted, "
                 f"{self.convert_flagged} flagged, "

@@ -4,9 +4,10 @@ The runtime layer sits between the SherLock pipeline and the simulator:
 
 * :class:`ExecutionRuntime` — consults a trace cache, then delegates
   round execution to a pluggable engine; sync and async surfaces;
-* :class:`Engine` — the engine interface, with
-  :class:`SerialEngine` / :class:`ProcessEngine` / :class:`AsyncEngine`
-  implementations (``engine="serial" | "process" | "async"``);
+* :class:`Engine` — the synchronous engine interface (its base class
+  bridges ``aexecute_round`` to a worker thread once), with
+  :class:`SerialEngine` / :class:`ProcessEngine` implementations
+  (``engine="serial" | "process"``);
 * :class:`TraceCache` — content-addressed memoization of observed rounds
   (in-memory LRU + optional on-disk JSON store under ``.repro_cache/``);
 * :class:`RunMetrics` — per-phase timings and cache/LP/engine counters
@@ -15,7 +16,7 @@ The runtime layer sits between the SherLock pipeline and the simulator:
 
 All engines and cached runs are guaranteed to serialize byte-identically
 to serial cold runs; see DESIGN.md § "Runtime" and § "Engines and the
-async runtime".
+async bridge".
 """
 
 from ._sync import _run_sync
@@ -29,7 +30,6 @@ from .cache import (
 )
 from .engine import ExecutionRuntime, ObserveOutcome
 from .engines import (
-    AsyncEngine,
     Engine,
     ProcessEngine,
     SerialEngine,
@@ -43,7 +43,6 @@ from ..metrics import RunMetrics
 __all__ = [
     "CACHE_FORMAT_VERSION",
     "DEFAULT_CACHE_DIR",
-    "AsyncEngine",
     "Engine",
     "ExecutionRuntime",
     "ObserveOutcome",

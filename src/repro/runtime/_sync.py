@@ -1,6 +1,6 @@
 """Sync-over-async bridge.
 
-The execution engines are asyncio-native (:mod:`repro.runtime.engines`);
+The pipeline is asyncio-native (:meth:`repro.core.pipeline.Sherlock.arun`);
 the public API stays synchronous.  :func:`_run_sync` is the one bridge
 between the two worlds: it runs a coroutine to completion from plain
 synchronous code, with or without an event loop already running in the

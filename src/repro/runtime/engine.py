@@ -5,18 +5,19 @@ one observed round — consulting a
 :class:`~repro.runtime.cache.TraceCache` first and replaying the round
 without executing anything on a hit — and delegates *how* they execute
 to a pluggable :class:`~repro.runtime.engines.Engine`: serially
-in-process, fanned out across a process pool, or over asyncio tasks
-with bounded concurrency (``engine="serial" | "process" | "async"``).
+in-process or fanned out across a process pool
+(``engine="serial" | "process"``).
 
 Determinism is the contract: engines may change how fast traces are
-produced, never what is inferred — serial, process, async, and cached
-runs yield byte-identical serialized reports (see
+produced, never what is inferred — serial, process, and cached runs
+yield byte-identical serialized reports (see
 :mod:`repro.runtime.engines`).
 
-Both a synchronous surface (``observe_round`` / ``map_jobs``, used by
-``repro.run()``) and an asyncio-native one (``aobserve_round`` /
-``amap_jobs``, used by ``repro.arun()``) are exposed; the async path
-additionally keeps cache disk I/O off the event loop.
+:meth:`~ExecutionRuntime.aobserve_round` is what the pipeline awaits
+each round; it keeps both cache disk I/O and the engine's work off the
+event loop.  :meth:`~ExecutionRuntime.observe_round` and
+:meth:`~ExecutionRuntime.map_jobs` are its synchronous counterparts for
+callers without a loop (the fuzz, predict and convert fan-outs).
 """
 
 from __future__ import annotations
@@ -123,8 +124,8 @@ class ExecutionRuntime:
         round_index: int,
         delay_plan: Optional[DelayPlan] = None,
     ) -> ObserveOutcome:
-        """Async :meth:`observe_round`: cache disk I/O and job fan-out
-        both happen off the event loop."""
+        """Async :meth:`observe_round`: cache disk I/O and the round's
+        execution both happen off the event loop."""
         self._check_open()
         plan = dict(delay_plan or {})
         key = self.round_key(app.app_id, config, round_index, plan)
@@ -176,14 +177,6 @@ class ExecutionRuntime:
         self._check_open()
         with self._teardown_on_interrupt():
             return self.engine.map_jobs(fn, payloads)
-
-    async def amap_jobs(
-        self, fn: Callable[[Any], Any], payloads: List[Any]
-    ) -> List[Any]:
-        """Async :meth:`map_jobs`."""
-        self._check_open()
-        with self._teardown_on_interrupt():
-            return await self.engine.amap_jobs(fn, payloads)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -1,32 +1,28 @@
-"""Pluggable execution engines: serial, process-pool, and asyncio-native.
+"""Pluggable execution engines: serial and process-pool.
 
 An :class:`Engine` owns *how* unit-test jobs get executed — the
 :class:`~repro.runtime.engine.ExecutionRuntime` owns *whether* they run at
 all (trace-cache consultation) and wires an engine into the pipeline.
-Three implementations ship:
+Two implementations ship:
 
 * :class:`SerialEngine` — in-process, one job at a time (the default);
 * :class:`ProcessEngine` — fan-out across a
   ``concurrent.futures.ProcessPoolExecutor`` with a serial fallback when
-  the pool is unavailable (sandbox, OOM);
-* :class:`AsyncEngine` — asyncio tasks with semaphore-bounded concurrency
-  running jobs in worker threads, so I/O-bound stages (disk trace cache,
-  future network shards) interleave with compute on one event loop.
+  the pool is unavailable (sandbox, OOM).
 
 Determinism is the shared contract.  Every unit test runs on a fresh
 kernel seeded by ``(config.seed, test qname, round index)`` alone and
-per-test context objects are built fresh per execution, so serial,
-process, and async runs yield byte-identical serialized reports (absolute
-heap-object ids differ across processes *and* across thread
-interleavings, but SherLock only ever compares ids within one test's
-trace and never serializes them).
+per-test context objects are built fresh per execution, so serial and
+process runs yield byte-identical serialized reports (absolute heap-object
+ids differ across processes, but SherLock only ever compares ids within
+one test's trace and never serializes them).
 
-The canonical interface is async (``aexecute_round`` / ``amap_jobs``);
-the sync methods are façades over it via
-:func:`~repro.runtime._sync._run_sync`.  Engines with a natively
-synchronous hot path (serial, process) override the sync methods
-directly and bridge the *async* surface instead, so no event loop is
-created unless a caller actually asks for one.
+The interface is synchronous (``execute_round`` / ``map_jobs``): the
+simulator is CPU-bound pure Python, so running jobs as asyncio tasks
+buys nothing under the GIL.  The base class bridges the one async
+method the pipeline awaits, ``aexecute_round``, by running
+``execute_round`` in a worker thread, which keeps the caller's event
+loop free for the duration of a round.
 """
 
 from __future__ import annotations
@@ -52,10 +48,9 @@ from typing import (
 from ..apps.registry import get_application, resolve_app_id
 from ..core.config import SherlockConfig
 from ..core.observer import Observer
-from ..metrics import count, timed
-from ..sim.program import Application, UnitTest
+from ..metrics import count
+from ..sim.program import Application
 from ..sim.runner import RunOptions, TestExecution, run_unit_test
-from ._sync import _run_sync
 from .cache import DelayPlan, FrozenPlan, freeze_delay_plan, thaw_delay_plan
 
 #: (app_id, config fields, round index, frozen plan, test qname)
@@ -65,19 +60,18 @@ WorkerPayload = Tuple[str, Dict[str, Any], int, FrozenPlan, str]
 RoundExecutions = Tuple[List[TestExecution], int]
 
 #: Accepted ``engine=`` specs: ``None``/"auto" (pick for me), a spec
-#: string ("serial" | "process[:N]" | "async[:N]"), or an Engine.
+#: string ("serial" | "process[:N]"), or an Engine.
 EngineSpec = Union[None, str, "Engine"]
 
-_ENGINE_KINDS = ("serial", "process", "async")
+_ENGINE_KINDS = ("serial", "process")
 
 
 def execute_test_payload(payload: WorkerPayload) -> TestExecution:
     """Run one unit test from plain data (the worker entry point).
 
     Rebuilds the application, config, and delay plan from picklable
-    primitives so nothing process-specific crosses the pool boundary.
-    The async engine reuses it per worker *thread* for the same
-    isolation: every job gets a private application instance.
+    primitives so nothing process-specific crosses the pool boundary,
+    then executes the test exactly as the serial Observer path would.
     """
     app_id, config_kwargs, round_index, frozen_plan, test_qname = payload
     config = SherlockConfig(**config_kwargs)
@@ -87,17 +81,6 @@ def execute_test_payload(payload: WorkerPayload) -> TestExecution:
             break
     else:
         raise KeyError(f"{app_id} has no unit test {test_qname!r}")
-    return _run_one_test(app, test, config, round_index, frozen_plan)
-
-
-def _run_one_test(
-    app: Application,
-    test: UnitTest,
-    config: SherlockConfig,
-    round_index: int,
-    frozen_plan: FrozenPlan,
-) -> TestExecution:
-    """Execute one unit test exactly as the serial Observer path would."""
     observer = Observer(config)
     options = RunOptions(
         seed=config.seed,
@@ -128,11 +111,11 @@ class Engine(ABC):
 
     Contract:
 
-    * ``aexecute_round`` / ``execute_round`` return one
-      :class:`TestExecution` per ``app.tests`` entry, in test order, plus
-      the worker count that actually executed the round;
-    * ``amap_jobs`` / ``map_jobs`` return one result per payload, in
-      submission order; a job exception propagates to the caller;
+    * ``execute_round`` returns one :class:`TestExecution` per
+      ``app.tests`` entry, in test order, plus the worker count that
+      actually executed the round;
+    * ``map_jobs`` returns one result per payload, in submission order;
+      a job exception propagates to the caller;
     * results are byte-identical to the serial path's — an engine may
       change how *fast* traces are produced, never what is inferred;
     * ``close`` is idempotent and the engine must stay safe to close on
@@ -146,10 +129,8 @@ class Engine(ABC):
     def concurrency(self) -> int:
         return 1
 
-    # -- canonical async surface ---------------------------------------------
-
     @abstractmethod
-    async def aexecute_round(
+    def execute_round(
         self,
         app: Application,
         config: SherlockConfig,
@@ -159,28 +140,25 @@ class Engine(ABC):
         """Execute all unit tests of one round."""
 
     @abstractmethod
-    async def amap_jobs(
+    def map_jobs(
         self, fn: Callable[[Any], Any], payloads: List[Any]
     ) -> List[Any]:
         """Run ``fn`` over ``payloads``, results in submission order."""
 
-    # -- sync façade ---------------------------------------------------------
-
-    def execute_round(
+    async def aexecute_round(
         self,
         app: Application,
         config: SherlockConfig,
         round_index: int,
         plan: DelayPlan,
     ) -> RoundExecutions:
-        return _run_sync(
-            self.aexecute_round(app, config, round_index, plan)
+        """:meth:`execute_round` in a worker thread, so the caller's
+        event loop keeps running during the round.  ``asyncio.to_thread``
+        copies the context, so counts the round records land in the
+        caller's :func:`~repro.metrics.recording`."""
+        return await asyncio.to_thread(
+            self.execute_round, app, config, round_index, plan
         )
-
-    def map_jobs(
-        self, fn: Callable[[Any], Any], payloads: List[Any]
-    ) -> List[Any]:
-        return _run_sync(self.amap_jobs(fn, payloads))
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -223,20 +201,6 @@ class SerialEngine(Engine):
         results = [fn(payload) for payload in payloads]
         self._count(len(results))
         return results
-
-    async def aexecute_round(
-        self,
-        app: Application,
-        config: SherlockConfig,
-        round_index: int,
-        plan: DelayPlan,
-    ) -> RoundExecutions:
-        return self.execute_round(app, config, round_index, plan)
-
-    async def amap_jobs(
-        self, fn: Callable[[Any], Any], payloads: List[Any]
-    ) -> List[Any]:
-        return self.map_jobs(fn, payloads)
 
     def _count(self, jobs: int) -> None:
         if jobs:
@@ -331,24 +295,6 @@ class ProcessEngine(Engine):
         self._count(len(results), 1)
         return results
 
-    async def aexecute_round(
-        self,
-        app: Application,
-        config: SherlockConfig,
-        round_index: int,
-        plan: DelayPlan,
-    ) -> RoundExecutions:
-        # Blocking pool.map runs in a helper thread so the caller's loop
-        # stays free for cache I/O and sibling tasks.
-        return await asyncio.to_thread(
-            self.execute_round, app, config, round_index, plan
-        )
-
-    async def amap_jobs(
-        self, fn: Callable[[Any], Any], payloads: List[Any]
-    ) -> List[Any]:
-        return await asyncio.to_thread(self.map_jobs, fn, payloads)
-
     def _mark_broken(self, exc: BaseException, stacklevel: int) -> None:
         self._pool_broken = True
         self.close()
@@ -378,115 +324,14 @@ class ProcessEngine(Engine):
         return f"ProcessEngine(workers={self.workers})"
 
 
-# -- asyncio-native ----------------------------------------------------------
-
-
-class AsyncEngine(Engine):
-    """asyncio tasks with semaphore-bounded concurrency.
-
-    Jobs run in worker threads (``asyncio.to_thread``) so the event loop
-    stays free to interleave cache I/O and sibling work; an
-    ``asyncio.Semaphore`` bounds how many are in flight.  Registered
-    apps are rebuilt per job from their id — exactly the process
-    engine's isolation — and unregistered :class:`Application` instances
-    are shared read-only across jobs (their per-test state is built
-    fresh by ``make_context``, like the serial path).
-
-    Cancellation is cooperative: when a job raises, every task still
-    queued on the semaphore is cancelled (counted as
-    ``engine_jobs_cancelled``) and in-flight worker threads are awaited
-    to completion before the original exception propagates — no orphaned
-    threads, no half-delivered batches.
-    """
-
-    name = "async"
-
-    def __init__(self, concurrency: Optional[int] = None) -> None:
-        super().__init__()
-        if concurrency is None:
-            concurrency = os.cpu_count() or 4
-        if concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
-        self._concurrency = concurrency
-        self._in_flight = 0
-
-    @property
-    def concurrency(self) -> int:
-        return self._concurrency
-
-    async def aexecute_round(
-        self,
-        app: Application,
-        config: SherlockConfig,
-        round_index: int,
-        plan: DelayPlan,
-    ) -> RoundExecutions:
-        frozen = freeze_delay_plan(plan)
-        if _app_registered(app):
-            config_kwargs = asdict(config)
-            payloads: List[WorkerPayload] = [
-                (app.app_id, config_kwargs, round_index, frozen, t.qname)
-                for t in app.tests
-            ]
-            executions = await self.amap_jobs(
-                execute_test_payload, payloads
-            )
-        else:
-            executions = await self.amap_jobs(
-                lambda test: _run_one_test(
-                    app, test, config, round_index, frozen
-                ),
-                list(app.tests),
-            )
-        used = min(self._concurrency, max(1, len(executions)))
-        return executions, used
-
-    async def amap_jobs(
-        self, fn: Callable[[Any], Any], payloads: List[Any]
-    ) -> List[Any]:
-        if not payloads:
-            return []
-        semaphore = asyncio.Semaphore(self._concurrency)
-
-        async def one_job(payload: Any) -> Any:
-            async with semaphore:
-                self._in_flight += 1
-                count("engine_concurrency_hwm", self._in_flight)
-                try:
-                    return await asyncio.to_thread(fn, payload)
-                finally:
-                    self._in_flight -= 1
-
-        tasks = [
-            asyncio.ensure_future(one_job(payload)) for payload in payloads
-        ]
-        with timed("engine_await_s"):
-            try:
-                return await asyncio.gather(*tasks)
-            except BaseException:
-                for task in tasks:
-                    task.cancel()
-                settled = await asyncio.gather(*tasks, return_exceptions=True)
-                cancelled = sum(
-                    1
-                    for outcome in settled
-                    if isinstance(outcome, asyncio.CancelledError)
-                )
-                count("engine_jobs_cancelled", cancelled)
-                raise
-
-    def __repr__(self) -> str:
-        return f"AsyncEngine(concurrency={self._concurrency})"
-
-
 # -- spec parsing ------------------------------------------------------------
 
 
 def parse_engine_spec(spec: str) -> Tuple[str, Optional[int]]:
     """Split an engine spec string into ``(kind, concurrency)``.
 
-    ``"serial" | "process[:N]" | "async[:N]" | "auto"`` — raises
-    ``ValueError`` on anything else.
+    ``"serial" | "process[:N]" | "auto"`` — raises ``ValueError`` on
+    anything else.
     """
     if not isinstance(spec, str):
         raise TypeError(
@@ -500,7 +345,7 @@ def parse_engine_spec(spec: str) -> Tuple[str, Optional[int]]:
     if kind not in _ENGINE_KINDS:
         raise ValueError(
             f"unknown engine spec {spec!r}; choose from "
-            f"{['auto', *_ENGINE_KINDS]} (e.g. 'process:4', 'async:8')"
+            f"{['auto', *_ENGINE_KINDS]} (e.g. 'process:4')"
         )
     concurrency: Optional[int] = None
     if sep:
@@ -551,13 +396,10 @@ def coerce_engine(
             concurrency = default_workers
         else:
             concurrency = os.cpu_count() or 4
-    if kind == "process":
-        return ProcessEngine(concurrency)
-    return AsyncEngine(concurrency)
+    return ProcessEngine(concurrency)
 
 
 __all__ = [
-    "AsyncEngine",
     "Engine",
     "EngineSpec",
     "ProcessEngine",

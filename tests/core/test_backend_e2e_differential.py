@@ -5,7 +5,8 @@ Extends ``test_incremental_fastpath.py``'s byte-identity pattern across
 the *backend* axis: for every registered app, a full 3-round run under
 ``backend="simplex"`` (the sparse revised simplex) serializes
 byte-identically to ``backend="dense-tableau"`` (the dense reference),
-both with the incremental warm-start path on and with it off.  This
+both with the incremental warm-start path on and with it off (the
+rebuild reference from ``tests/oracles``).  This
 holds because the two built-ins run identical Bland pivot sequences and
 share one basis-finalization routine, so they agree on every inferred
 sync, every probability bit, and every downstream delay plan.
@@ -19,6 +20,7 @@ objective must match to 1e-9 along with the LP dimensions.
 """
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
@@ -27,15 +29,15 @@ from repro.apps.synth import SynthSpec, build_synth_app
 from repro.core import SherlockConfig
 from repro.core.pipeline import Sherlock
 from repro.core.serialize import report_to_dict
+from tests.oracles import reference_paths
 
 APP_IDS = [app.app_id for app in all_applications()]
 
 
-def _run(app_id: str, backend: str, incremental: bool, presolve: bool = True):
-    config = SherlockConfig(
-        rounds=3, backend=backend, incremental=incremental, presolve=presolve
-    )
-    return Sherlock(get_application(app_id), config).run()
+def _run(app_id: str, backend: str, incremental: bool):
+    config = SherlockConfig(rounds=3, backend=backend)
+    with nullcontext() if incremental else reference_paths():
+        return Sherlock(get_application(app_id), config).run()
 
 
 def _canonical(report) -> str:
@@ -73,14 +75,21 @@ def test_scipy_agrees_on_the_round_zero_lp(app_id):
 
 
 @pytest.mark.parametrize("app_id", APP_IDS)
-def test_presolve_flag_byte_identical_below_gate(app_id):
-    """``presolve=True`` vs ``presolve=False``: byte-identical 3-round
-    reports on every registered app.  Paper-sized LPs sit far below the
-    4096-real-column presolve gate, so the default-on flag must be the
-    identity there — this is the regression lock on the gate itself."""
-    on = _canonical(_run(app_id, "simplex", True, presolve=True))
-    off = _canonical(_run(app_id, "simplex", True, presolve=False))
-    assert on == off
+def test_presolve_flag_byte_identical_below_gate(app_id, monkeypatch):
+    """Presolve never runs on a paper-sized LP: a full 3-round run on
+    every registered app completes with ``presolve_form`` rigged to
+    raise.  Paper-sized LPs sit far below the 4096-real-column gate, so
+    ``repro.lp.solve``'s ``presolve=`` flag cannot change their reports
+    — this is the regression lock on the gate itself.  (Above the gate,
+    ``test_scale_tier_warm_rounds_skip_phase1`` shows presolve runs.)"""
+    import repro.lp.presolve as presolve
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("presolve ran below the 4096-column gate")
+
+    monkeypatch.setattr(presolve, "presolve_form", must_not_run)
+    report = _run(app_id, "auto", True)
+    assert len(report.rounds) == 3
 
 
 def test_presolve_and_phase1_counters_flow_to_metrics():

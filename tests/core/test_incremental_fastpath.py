@@ -1,12 +1,14 @@
 """Differential tests for the analysis fast path.
 
-Two independent equivalence contracts:
+Two independent equivalence contracts, each against a reference from
+``tests/oracles``:
 
-* the incremental encoder (``SherlockConfig(incremental=True)``, the
-  default) must serialize byte-identically to the rebuild-from-scratch
-  escape hatch (``incremental=False``) over full multi-round runs, and
+* the production pipeline (indexed extraction, incremental encoder)
+  must serialize byte-identically to the same pipeline running the
+  references (all-pairs extraction, rebuild-from-scratch encoding) over
+  full multi-round runs, and
 * the indexed window extractor must return exactly the windows (same
-  order, same sides) as the historical all-pairs scan on arbitrary logs.
+  order, same sides) as the all-pairs scan on arbitrary logs.
 """
 
 import json
@@ -23,6 +25,7 @@ from repro.core.serialize import report_to_dict
 from repro.core.stats import ObservationStore
 from repro.core.windows import WindowExtractor
 from repro.trace import OpType, TraceEvent, TraceLog
+from tests.oracles import AllPairsWindowExtractor, reference_paths
 
 APP_IDS = [app.app_id for app in all_applications()]
 
@@ -33,16 +36,17 @@ def _canonical(report) -> str:
 
 @pytest.mark.parametrize("app_id", APP_IDS)
 def test_incremental_matches_rebuild_reports(app_id):
-    """incremental=True and incremental=False serialize byte-identically
+    """The production paths and the references serialize byte-identically
     over a full 3-round run — every round's objective, LP sizes, syncs
     and probabilities."""
-    fast = Sherlock(
-        _app(app_id), SherlockConfig(rounds=3, incremental=True)
-    ).run()
-    slow = Sherlock(
-        _app(app_id), SherlockConfig(rounds=3, incremental=False)
-    ).run()
+    config = SherlockConfig(rounds=3)
+    fast = Sherlock(_app(app_id), config).run()
+    with reference_paths():
+        slow = Sherlock(_app(app_id), config).run()
     assert _canonical(fast) == _canonical(slow)
+    # The reference run really rebuilt: every round encoded the full LP.
+    last = slow.rounds[-1].metrics
+    assert last.lp_delta_variables == last.lp_variables
 
 
 def _app(app_id):
@@ -54,9 +58,7 @@ def _app(app_id):
 def test_incremental_appends_instead_of_rebuilding():
     """After round 1 the encoder patches the model: subsequent rounds
     report delta sizes strictly below the full LP size."""
-    report = Sherlock(
-        _app(APP_IDS[-1]), SherlockConfig(rounds=3, incremental=True)
-    ).run()
+    report = Sherlock(_app(APP_IDS[-1]), SherlockConfig(rounds=3)).run()
     last = report.rounds[-1].metrics
     assert last.lp_delta_variables < last.lp_variables
     assert last.lp_delta_constraints < last.lp_constraints
@@ -66,7 +68,7 @@ def test_incremental_encoder_model_equals_build_model():
     """Direct model-level check: encoding a growing store incrementally
     yields the same variables, constraints and objective as build_model
     on the final store."""
-    config = SherlockConfig(rounds=2, incremental=True)
+    config = SherlockConfig(rounds=2)
     logs = []
     Sherlock(
         _app(APP_IDS[0]),
@@ -157,11 +159,11 @@ def _window_key(w):
 @given(mixed_logs(), st.floats(0.01, 2.0), st.integers(1, 8))
 @settings(max_examples=80, deadline=None)
 def test_indexed_extraction_equals_allpairs(log, near, cap):
-    """The indexed fast path and the historical all-pairs scan must
-    produce identical windows — same order, same sides (key order
-    included, since downstream float identity depends on it)."""
-    indexed = WindowExtractor(near=near, window_cap=cap, indexed=True)
-    allpairs = WindowExtractor(near=near, window_cap=cap, indexed=False)
+    """The indexed scan and the all-pairs oracle must produce identical
+    windows — same order, same sides (key order included, since
+    downstream float identity depends on it)."""
+    indexed = WindowExtractor(near=near, window_cap=cap)
+    allpairs = AllPairsWindowExtractor(near=near, window_cap=cap)
     wi = indexed.extract(log)
     wa = allpairs.extract(log)
     assert [_window_key(w) for w in wi] == [_window_key(w) for w in wa]
@@ -170,12 +172,8 @@ def test_indexed_extraction_equals_allpairs(log, near, cap):
 @given(mixed_logs(), st.floats(0.01, 1.0))
 @settings(max_examples=40, deadline=None)
 def test_indexed_extraction_equals_allpairs_with_refinement(log, near):
-    indexed = WindowExtractor(
-        near=near, window_cap=5, refine=True, indexed=True
-    )
-    allpairs = WindowExtractor(
-        near=near, window_cap=5, refine=True, indexed=False
-    )
+    indexed = WindowExtractor(near=near, window_cap=5, refine=True)
+    allpairs = AllPairsWindowExtractor(near=near, window_cap=5, refine=True)
     assert [_window_key(w) for w in indexed.extract(log)] == [
         _window_key(w) for w in allpairs.extract(log)
     ]

@@ -1,8 +1,10 @@
 """Unit tests for acquire/release window extraction and refinement."""
 
+import pytest
 
 from repro.core.windows import WindowExtractor
 from repro.trace import DelayInterval, OpRef, OpType, TraceEvent, TraceLog
+from tests.oracles import AllPairsWindowExtractor
 
 
 def ev(t, tid, op, name, addr=1, **meta):
@@ -279,9 +281,23 @@ class TestWindowCapIsPerLog:
         assert len(extractor.extract(self._noisy_log(0, n_pairs=40))) == 7
 
     def test_indexed_and_allpairs_share_the_per_log_scope(self):
-        for indexed in (True, False):
-            extractor = WindowExtractor(
-                near=0.005, window_cap=15, indexed=indexed
-            )
+        for extractor_cls in (WindowExtractor, AllPairsWindowExtractor):
+            extractor = extractor_cls(near=0.005, window_cap=15)
             assert len(extractor.extract(self._noisy_log(0))) == 15
             assert len(extractor.extract(self._noisy_log(1))) == 15
+
+
+def test_malformed_logs_are_rejected():
+    """Windows are undefined over a log whose timestamps run backwards
+    or whose ``seq`` stamps are not dense: extraction refuses it and
+    names the first offending event."""
+    backwards = TraceLog(run_id=0)
+    backwards.append(ev(0.5, 1, W, "C::x"))
+    backwards.append(ev(0.1, 2, R, "C::x"))
+    with pytest.raises(ValueError, match="backwards at seq 1"):
+        WindowExtractor(1.0, 15).extract(backwards)
+
+    sparse = build_log([ev(0.1, 1, W, "C::x"), ev(0.2, 2, R, "C::x")])
+    object.__setattr__(sparse.events[1], "seq", 7)
+    with pytest.raises(ValueError, match="event 1 has seq 7"):
+        WindowExtractor(1.0, 15).extract(sparse)

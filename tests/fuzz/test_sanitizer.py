@@ -82,17 +82,36 @@ class TestBalance:
 
 
 class TestMonotoneTime:
+    # The conflicting write pairs below would form windows on a
+    # well-formed log; on these the window check must stand down (the
+    # extractor rejects such logs) rather than crash the sanitizer.
+
     def test_backwards_timestamp(self):
         log = make_log([
             ev(0.5, 1, OpType.READ, "C::f"),
             ev(0.1, 1, OpType.READ, "C::f"),
         ])
         assert "monotone-time" in codes(sanitize_execution(execution(log)))
+        conflicting = make_log([
+            ev(0.5, 1, OpType.WRITE, "C::f"),
+            ev(0.1, 2, OpType.WRITE, "C::f"),
+        ])
+        assert codes(sanitize_execution(execution(conflicting))) == [
+            "monotone-time"
+        ]
 
     def test_non_dense_seq(self):
         log = make_log([ev(0.1, 1, OpType.READ, "C::f")])
         object.__setattr__(log.events[0], "seq", 7)
         assert "monotone-time" in codes(sanitize_execution(execution(log)))
+        conflicting = make_log([
+            ev(0.1, 1, OpType.WRITE, "C::f"),
+            ev(0.2, 2, OpType.WRITE, "C::f"),
+        ])
+        object.__setattr__(conflicting.events[1], "seq", 7)
+        assert codes(sanitize_execution(execution(conflicting))) == [
+            "monotone-time"
+        ]
 
     def test_backwards_local_time(self):
         log = make_log([

@@ -297,7 +297,7 @@ class TestDirectedDeterminism:
             rows.append(blob)
         return rows
 
-    @pytest.mark.parametrize("engine", ["serial", "process:2", "async:2"])
+    @pytest.mark.parametrize("engine", ["serial", "process:2"])
     def test_serial_process_async_agree(self, engine):
         config = ConvertConfig(
             app_ids=["App-5"], schedules=2, engine=engine

@@ -1,15 +1,12 @@
-"""Tests for the unified ``repro.run()`` entry point, the ``run_sherlock``
-deprecation, config construction-time validation, and report metrics."""
-
-import json
-import warnings
+"""Tests for the unified ``repro.run()`` entry point, config
+construction-time validation, and report metrics."""
 
 import pytest
 
 import repro
 from repro.api import coerce_cache
 from repro.apps.registry import get_application
-from repro.core import SherlockConfig, run_sherlock
+from repro.core import SherlockConfig
 from repro.runtime import RunMetrics, TraceCache
 from repro.runtime.cache import DEFAULT_CACHE_DIR
 
@@ -56,37 +53,6 @@ class TestRunEntryPoint:
         cache = coerce_cache("memory")
         assert isinstance(cache, TraceCache)
         assert cache.path is None
-
-
-class TestRunSherlockDeprecation:
-    def test_emits_future_warning_with_removal_note(self):
-        app = get_application("App-5")
-        with pytest.warns(FutureWarning, match="removed in repro 2.0"):
-            report = run_sherlock(app, SherlockConfig(rounds=1, seed=0))
-        assert report.app_id == "App-5"
-
-    def test_emits_exactly_one_warning(self):
-        app = get_application("App-5")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_sherlock(app, SherlockConfig(rounds=1, seed=0))
-        futures = [
-            w for w in caught
-            if issubclass(w.category, FutureWarning)
-        ]
-        assert len(futures) == 1
-        assert "repro.run" in str(futures[0].message)
-
-    def test_returns_same_report_as_repro_run(self):
-        from repro.core.serialize import report_to_dict
-
-        config = SherlockConfig(rounds=2, seed=0)
-        with pytest.warns(FutureWarning):
-            legacy = run_sherlock(get_application("App-5"), config)
-        modern = repro.run("App-5", config)
-        assert json.dumps(
-            report_to_dict(legacy), sort_keys=True
-        ) == json.dumps(report_to_dict(modern), sort_keys=True)
 
 
 class TestConfigConstructionValidation:

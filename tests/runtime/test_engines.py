@@ -1,8 +1,7 @@
-"""The pluggable engine layer: spec parsing, the ``engine=`` redesign,
-the async engine's bounded fan-out and cooperative cancellation, legacy
-kwarg shims, and runtime lifecycle guarantees.
+"""The pluggable engine layer: spec parsing, the ``engine=`` API, the
+base class's async bridge, and runtime lifecycle guarantees.
 
-The byte-identity matrix (serial == process == async == cached) lives in
+The byte-identity matrix (serial == process == cached) lives in
 ``test_runtime_determinism.py``; this file covers the API surface and
 the engine-specific semantics around it.
 """
@@ -10,18 +9,14 @@ the engine-specific semantics around it.
 import asyncio
 import json
 import threading
-import time
-import warnings
 
 import pytest
 
 import repro
-from repro.api import _shim_legacy_kwargs
 from repro.core import SherlockConfig
 from repro.core.serialize import report_to_dict
 from repro.metrics import recording
 from repro.runtime import (
-    AsyncEngine,
     Engine,
     ExecutionRuntime,
     ProcessEngine,
@@ -47,8 +42,6 @@ class TestParseEngineSpec:
             ("serial", ("serial", None)),
             ("process", ("process", None)),
             ("process:4", ("process", 4)),
-            ("async", ("async", None)),
-            ("async:8", ("async", 8)),
         ],
     )
     def test_valid_specs(self, spec, expected):
@@ -57,7 +50,7 @@ class TestParseEngineSpec:
     @pytest.mark.parametrize(
         "spec",
         ["threads", "process:0", "process:-1", "process:x", "serial:2",
-         "auto:4", ""],
+         "auto:4", "", "async", "async:8"],
     )
     def test_invalid_specs_raise(self, spec):
         with pytest.raises(ValueError):
@@ -80,14 +73,12 @@ class TestCoerceEngine:
 
     def test_sized_specs(self):
         assert coerce_engine("process:5").concurrency == 5
-        assert coerce_engine("async:7").concurrency == 7
 
     def test_unsized_specs_size_from_default_workers(self):
         assert coerce_engine("process", default_workers=6).concurrency == 6
-        assert coerce_engine("async", default_workers=6).concurrency == 6
 
     def test_unsized_specs_fall_back_to_cpu_count(self):
-        assert coerce_engine("async").concurrency >= 1
+        assert coerce_engine("process").concurrency >= 1
 
     def test_engine_instance_passes_through(self):
         engine = SerialEngine()
@@ -96,120 +87,51 @@ class TestCoerceEngine:
     def test_config_rejects_bad_spec_at_construction(self):
         with pytest.raises(ValueError, match="engine spec"):
             SherlockConfig(engine="threads")
-        assert SherlockConfig(engine="async:2").engine == "async:2"
+        with pytest.raises(ValueError, match="unknown engine spec"):
+            SherlockConfig(engine="async:2")
+        assert SherlockConfig(engine="process:2").engine == "process:2"
 
 
-# -- legacy kwarg shims ------------------------------------------------------
-
-
-class TestLegacyKwargShims:
-    def test_workers_one_maps_to_serial(self):
-        with pytest.warns(DeprecationWarning, match="workers"):
-            assert _shim_legacy_kwargs(None, 1, None) == "serial"
-
-    def test_workers_n_maps_to_process_pool(self):
-        with pytest.warns(DeprecationWarning, match="process:N"):
-            assert _shim_legacy_kwargs(None, 4, None) == "process:4"
-
-    def test_runtime_maps_to_engine(self):
-        rt = ExecutionRuntime()
-        with pytest.warns(DeprecationWarning, match="engine="):
-            assert _shim_legacy_kwargs(None, None, rt) is rt
-        rt.close()
-
-    def test_engine_plus_workers_conflict(self):
-        with pytest.raises(TypeError, match="workers"):
-            _shim_legacy_kwargs("serial", 4, None)
-
-    def test_engine_plus_runtime_conflict(self):
-        rt = ExecutionRuntime()
-        with pytest.raises(TypeError, match="runtime"):
-            _shim_legacy_kwargs("serial", None, rt)
-        rt.close()
-
-    def test_run_with_legacy_workers_still_works(self):
-        config = SherlockConfig(rounds=1, seed=0)
-        baseline = repro.run("App-5", config)
-        with pytest.warns(DeprecationWarning, match="engine="):
-            legacy = repro.run("App-5", config, workers=1)
-        assert canonical(legacy) == canonical(baseline)
-
-    def test_new_api_emits_no_deprecation_warning(self):
-        config = SherlockConfig(rounds=1, seed=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            repro.run("App-5", config, engine="serial", cache="memory")
-
-
-# -- the async engine --------------------------------------------------------
-
-
-class TestAsyncEngine:
-    def test_concurrency_is_bounded_by_semaphore(self):
-        engine = AsyncEngine(concurrency=2)
-
-        def job(i):
-            time.sleep(0.02)
-            return i * i
-
-        with recording() as metrics:
-            results = engine.map_jobs(job, list(range(8)))
-        assert results == [i * i for i in range(8)]
-        assert 1 <= metrics.engine_concurrency_hwm <= 2
-        assert metrics.engine_await_s > 0.0
-
-    def test_jobs_actually_overlap(self):
-        # A two-party barrier only releases when two jobs are inside it
-        # simultaneously; the 5 s timeout turns a serialized engine into
-        # a loud BrokenBarrierError instead of a hang.
-        engine = AsyncEngine(concurrency=2)
-        barrier = threading.Barrier(2, timeout=5.0)
-
-        def job(i):
-            barrier.wait()
-            return i
-
-        with recording() as metrics:
-            assert engine.map_jobs(job, [0, 1]) == [0, 1]
-        assert metrics.engine_concurrency_hwm == 2
-
-    def test_failure_cancels_queued_jobs_and_propagates(self):
-        engine = AsyncEngine(concurrency=1)
-
-        def job(i):
-            if i == 0:
-                raise ValueError("job 0 failed")
-            time.sleep(0.2)
-            return i
-
-        with recording() as metrics:
-            with pytest.raises(ValueError, match="job 0 failed"):
-                engine.map_jobs(job, [0, 1, 2])
-        assert metrics.engine_jobs_cancelled >= 1
-        # The engine stays usable after a failed batch.
-        assert engine.map_jobs(lambda i: i + 1, [1, 2]) == [2, 3]
-
-    def test_invalid_concurrency_rejected(self):
-        with pytest.raises(ValueError):
-            AsyncEngine(concurrency=0)
-
-    def test_amap_jobs_runs_on_caller_loop(self):
-        engine = AsyncEngine(concurrency=2)
-
-        async def fan_out():
-            return await engine.amap_jobs(lambda i: i * 10, [1, 2, 3])
-
-        assert asyncio.run(fan_out()) == [10, 20, 30]
+# -- rounds through the async bridge -----------------------------------------
 
 
 class TestAsyncEngineRounds:
+    """Rounds driven through ``Engine.aexecute_round``, the base class's
+    one async bridge (``repro.run`` and ``repro.arun`` both await it)."""
+
     def test_round_metrics_surface_in_report(self):
         config = SherlockConfig(rounds=2, seed=0)
-        report = repro.run("App-7", config, engine="async:4")
+        report = repro.run("App-7", config, engine="process:2")
         assert report.metrics.engine_concurrency_hwm >= 1
-        assert report.metrics.engine_jobs_cancelled == 0
-        assert report.metrics.engine_await_s > 0.0
         assert "engine:" in report.metrics.describe()
+
+    def test_serial_arun_keeps_the_caller_loop_running(self):
+        """The round runs in a worker thread: a sibling task gets loop
+        turns while ``arun`` awaits it, and the engine's count, made
+        from that thread, still lands in the round's recording."""
+
+        async def race():
+            ticks = 0
+            done = False
+
+            async def ticker():
+                nonlocal ticks
+                while not done:
+                    ticks += 1
+                    await asyncio.sleep(0)
+
+            task = asyncio.ensure_future(ticker())
+            report = await repro.arun(
+                "App-7", SherlockConfig(seed=0), engine="serial", rounds=1
+            )
+            ticks_during_run = ticks
+            done = True
+            await task
+            return report, ticks_during_run
+
+        report, ticks_during_run = asyncio.run(race())
+        assert ticks_during_run > 0
+        assert report.rounds[0].metrics.engine_concurrency_hwm == 1
 
     def test_arun_matches_sync_run(self):
         config = SherlockConfig(rounds=2, seed=0)
@@ -237,7 +159,7 @@ class TestAsyncEngineRounds:
 
 class TestRuntimeLifecycle:
     def test_close_is_idempotent(self):
-        rt = ExecutionRuntime(engine="async:2")
+        rt = ExecutionRuntime(engine="process:2")
         rt.close()
         rt.close()
         assert rt.closed
@@ -253,7 +175,7 @@ class TestRuntimeLifecycle:
             )
 
     def test_engine_close_is_idempotent(self):
-        for engine in (SerialEngine(), ProcessEngine(2), AsyncEngine(2)):
+        for engine in (SerialEngine(), ProcessEngine(2)):
             engine.close()
             engine.close()
 
@@ -282,9 +204,9 @@ class TestRuntimeLifecycle:
     def test_runtime_reports_engine_name_in_outcome(self):
         config = SherlockConfig(rounds=1, seed=0)
         app = repro.get_application("App-5")
-        with ExecutionRuntime(engine="async:2") as rt, recording() as metrics:
+        with ExecutionRuntime(engine="process:2") as rt, recording() as metrics:
             outcome = rt.observe_round(app, config, 0)
-        assert outcome.engine == "async"
+        assert outcome.engine == "process"
         assert metrics.engine_concurrency_hwm >= 1
 
     def test_cache_hit_skips_engine(self):
@@ -305,17 +227,21 @@ class TestEngineAbstractInterface:
         with pytest.raises(TypeError):
             Engine()
 
-    def test_sync_facade_bridges_custom_async_engine(self):
+    def test_async_bridge_runs_sync_engine_off_loop(self):
         class EchoEngine(Engine):
-            name = "echo"
+            def execute_round(self, app, config, round_index, plan):
+                return [threading.current_thread()], round_index
 
-            async def aexecute_round(self, app, config, round_index, plan):
-                raise NotImplementedError
-
-            async def amap_jobs(self, fn, payloads):
-                await asyncio.sleep(0)
+            def map_jobs(self, fn, payloads):
                 return [fn(p) for p in payloads]
 
         engine = EchoEngine()
-        # The inherited sync façade drives the async implementation.
-        assert engine.map_jobs(lambda x: x + 1, [1, 2]) == [2, 3]
+
+        async def bridged():
+            return await engine.aexecute_round(None, None, 7, {})
+
+        # The inherited async bridge drives the sync implementation in a
+        # worker thread.
+        (thread,), used = asyncio.run(bridged())
+        assert used == 7
+        assert thread is not threading.main_thread()

@@ -1,7 +1,7 @@
 """Determinism guarantee of the execution runtime.
 
-Serial cold runs, process-pool runs, async-engine runs, and warm-cache
-replays must serialize byte-identically: the runtime may change *how
+Serial cold runs, process-pool runs, and warm-cache replays must
+serialize byte-identically: the runtime may change *how
 fast* traces are produced, never *what* is inferred.
 """
 
@@ -33,13 +33,6 @@ def serial_baselines():
 def test_parallel_matches_serial(app_id, serial_baselines):
     config = SherlockConfig(rounds=2, seed=0)
     report = repro.run(app_id, config, engine="process:4")
-    assert canonical(report) == serial_baselines[app_id]
-
-
-@pytest.mark.parametrize("app_id", APPS)
-def test_async_engine_matches_serial(app_id, serial_baselines):
-    config = SherlockConfig(rounds=2, seed=0)
-    report = repro.run(app_id, config, engine="async:4")
     assert canonical(report) == serial_baselines[app_id]
 
 
