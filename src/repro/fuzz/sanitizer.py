@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -35,7 +36,7 @@ from ..core.windows import Window, WindowExtractor
 from ..sim.runner import TestExecution
 from ..trace.events import TraceEvent
 from ..trace.log import TraceLog
-from ..trace.optypes import OpType
+from ..trace.optypes import OpRef, OpType
 
 
 @dataclass(frozen=True)
@@ -191,40 +192,37 @@ class TraceSanitizer:
         extractor = WindowExtractor(
             near=self.near, window_cap=self.window_cap
         )
+        endpoints = _index_endpoints(log)
         for window in extractor.extract(log):
-            violation = self._verify_window_conflict(log, window)
+            violation = self._verify_window_conflict(endpoints, window)
             if violation is not None:
                 out.append(violation)
         return out
 
     def _verify_window_conflict(
-        self, log: TraceLog, window: Window
+        self, endpoints: _Endpoints, window: Window
     ) -> Optional[Violation]:
         """Independently re-derive the endpoints and check they conflict."""
         a_ref, b_ref = window.pair_key
         label = f"window ({a_ref.display()}, {b_ref.display()})"
-        candidates: List[Tuple[TraceEvent, TraceEvent]] = [
-            (a, b)
-            for a in log
-            if a.ref == a_ref and abs(a.timestamp - window.a_time) < 1e-12
-            for b in log
-            if b.ref == b_ref and abs(b.timestamp - window.b_time) < 1e-12
-        ]
-        if not candidates:
+        a_events = _events_at(endpoints, a_ref, window.a_time)
+        b_events = _events_at(endpoints, b_ref, window.b_time)
+        if not (a_events and b_events):
             return Violation(
                 "conflicting-windows",
                 f"{label} endpoints not found in trace at "
                 f"({window.a_time}, {window.b_time})",
             )
-        for a, b in candidates:
-            writes = self._writes(a) or self._writes(b)
-            if (
-                a.thread_id != b.thread_id
-                and a.address == b.address
-                and writes
-                and b.timestamp - a.timestamp <= self.near + 1e-9
-            ):
-                return None
+        for a in a_events:
+            for b in b_events:
+                writes = self._writes(a) or self._writes(b)
+                if (
+                    a.thread_id != b.thread_id
+                    and a.address == b.address
+                    and writes
+                    and b.timestamp - a.timestamp <= self.near + 1e-9
+                ):
+                    return None
         return Violation(
             "conflicting-windows",
             f"{label} endpoints do not genuinely conflict "
@@ -236,6 +234,50 @@ class TraceSanitizer:
         if e.is_memory:
             return e.is_write
         return e.meta.get("unsafe_api") == "write"
+
+
+#: A log's events grouped by static op ``(name, optype)``: per group,
+#: the timestamps in ascending order and the events in the same order.
+_Endpoints = Dict[Tuple[str, OpType], Tuple[List[float], List[TraceEvent]]]
+
+
+def _index_endpoints(log: TraceLog) -> _Endpoints:
+    """Group a log's events by static op, sorted by timestamp.
+
+    The window check only runs on logs that passed the monotone check,
+    so each group is already in time order up to the 1e-12 jitter that
+    check tolerates; the stable sort absorbs that jitter in linear time.
+    """
+    groups: Dict[Tuple[str, OpType], List[TraceEvent]] = {}
+    for e in log:
+        groups.setdefault((e.name, e.optype), []).append(e)
+    endpoints: _Endpoints = {}
+    for key, events in groups.items():
+        events.sort(key=lambda e: e.timestamp)
+        endpoints[key] = ([e.timestamp for e in events], events)
+    return endpoints
+
+
+def _events_at(
+    endpoints: _Endpoints, ref: OpRef, t: float
+) -> List[TraceEvent]:
+    """The instances of ``ref`` stamped within 1e-12 of ``t``, in time
+    order.
+
+    ``abs(x - t) < 1e-12`` holds on a contiguous run of any sorted list
+    (floating-point subtraction is monotone in ``x``), so the run is
+    found by walking out from ``t``'s insertion point.
+    """
+    group = endpoints.get((ref.name, ref.optype))
+    if group is None:
+        return []
+    times, events = group
+    lo = hi = bisect_left(times, t)
+    while lo > 0 and abs(times[lo - 1] - t) < 1e-12:
+        lo -= 1
+    while hi < len(times) and abs(times[hi] - t) < 1e-12:
+        hi += 1
+    return events[lo:hi]
 
 
 def sanitize_execution(

@@ -92,21 +92,21 @@ def sync_pairings(
     ident = (
         (lambda e: seq_of[id(e)]) if seq_of is not None else (lambda e: e.seq)
     )
+    roles = spec.event_roles()
     acquires: Dict[int, Optional[int]] = {}
     statics: Dict[int, Optional[int]] = {}
     last_release: Dict[int, int] = {}
     last_publish: Dict[int, int] = {}
-    static_addrs = {
-        e.address for e in events if spec.is_static_publish_event(e)
-    }
+    static_addrs = {e.address for e in events if roles(e).publish}
     for e in events:
-        if spec.is_acquire_event(e):
+        acquire, release, _, publish = roles(e)
+        if acquire:
             acquires[ident(e)] = last_release.get(e.address)
         if e.address in static_addrs:
             statics[ident(e)] = last_publish.get(e.address)
-        if spec.is_release_event(e):
+        if release:
             last_release[e.address] = ident(e)
-        if spec.is_static_publish_event(e):
+        if publish:
             last_publish[e.address] = ident(e)
     return SyncPairings(acquires=acquires, statics=statics)
 
@@ -136,7 +136,11 @@ class SyncPreservingClosure:
         self.clocks: List[PrefixVector] = [dict() for _ in range(n)]
         #: Per-thread event seqs in program order.
         self.thread_events: Dict[int, List[int]] = {}
+        #: Per-event spec roles the witness builder reads back.
+        self.releases: List[bool] = [False] * n
+        self.publishes: List[bool] = [False] * n
         self.pairings = sync_pairings(events, spec)
+        roles = spec.event_roles()
 
         vcs: Dict[int, PrefixVector] = {}
         # Channels hold the *pairing* release's clock: replaced at each
@@ -144,9 +148,12 @@ class SyncPreservingClosure:
         channels: Dict[int, PrefixVector] = {}
         static_channels: Dict[int, PrefixVector] = {}
         for e in events:
+            acquire, release, collective, publish = roles(e)
+            self.releases[e.seq] = release
+            self.publishes[e.seq] = publish
             tid = e.thread_id
             vc = vcs.setdefault(tid, {})
-            if spec.is_acquire_event(e):
+            if acquire:
                 channel = channels.get(e.address)
                 if channel is not None:
                     _join(vc, channel)
@@ -158,8 +165,8 @@ class SyncPreservingClosure:
             order.append(e.seq)
             vc[tid] = len(order)
             self.clocks[e.seq] = dict(vc)
-            if spec.is_release_event(e):
-                if spec.is_collective_release_event(e):
+            if release:
+                if collective:
                     # Collective (phase) channels accumulate: a phase's
                     # waiter is ordered after every arrival, so no
                     # sync-preserving reordering may move an arrival
@@ -167,7 +174,7 @@ class SyncPreservingClosure:
                     _join(channels.setdefault(e.address, {}), vc)
                 else:
                     channels[e.address] = dict(vc)
-            if spec.is_static_publish_event(e):
+            if publish:
                 static_channels[e.address] = dict(vc)
 
     # -- order queries -------------------------------------------------------

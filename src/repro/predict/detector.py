@@ -24,7 +24,7 @@ from ..core.index import ConflictGroups
 from ..racedet.fasttrack import RaceReport
 from ..racedet.spec import HappensBeforeSpec
 from ..trace.log import TraceLog
-from .closure import SyncPreservingClosure
+from .closure import SyncPairings, SyncPreservingClosure, sync_pairings
 from .witness import build_witness, validate_witness
 
 
@@ -120,6 +120,11 @@ class PredictiveDetector:
         analysis = PredictionAnalysis(spec_name=self.spec.name)
         closure = SyncPreservingClosure(log, self.spec)
         groups = ConflictGroups(log.memory_events())
+        # The validator's view of the source log, derived on first use
+        # and shared by every witness of this log.  It is computed apart
+        # from ``closure.pairings`` so validation shares no state with
+        # construction.
+        source: Optional[SyncPairings] = None
         #: Dedup key: one representative per (field, address, access
         #: kinds, thread pair) — the earliest pair that witnesses wins.
         reported: Set[Tuple[str, int, str, str, int, int]] = set()
@@ -155,9 +160,12 @@ class PredictiveDetector:
                         analysis.unwitnessed_pairs += 1
                         continue
                     if self.validate:
+                        if source is None:
+                            source = sync_pairings(log.events, self.spec)
                         problems = validate_witness(
                             log, witness, self.spec, a_seq, b_seq,
                             near=self.near, window_cap=self.window_cap,
+                            source_pairings=source,
                         )
                         if problems:
                             analysis.invalid_witnesses += 1

@@ -37,7 +37,12 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..racedet.spec import HappensBeforeSpec
 from ..trace.events import TraceEvent
 from ..trace.log import TraceLog
-from .closure import PrefixVector, SyncPreservingClosure, sync_pairings
+from .closure import (
+    PrefixVector,
+    SyncPairings,
+    SyncPreservingClosure,
+    sync_pairings,
+)
 
 #: Uniform timestamp grid of witness logs (any positive spacing yields a
 #: well-formed log; the sanitizer's window checks are self-consistent).
@@ -56,12 +61,16 @@ def build_witness(
     ideal: PrefixVector,
 ) -> Optional[TraceLog]:
     """A sync-preserving witness reordering exposing ``(a, b)``, or
-    ``None`` when the pair's channel constraints are unsatisfiable."""
+    ``None`` when the pair's channel constraints are unsatisfiable.
+
+    ``spec`` is the spec ``closure`` was built with; the builder reads
+    every event's roles from the closure's per-event flags.
+    """
     body = closure.ideal_events(ideal)
-    order = _linearize_body(log, spec, closure, body, (a_seq, b_seq))
+    order = _linearize_body(log, closure, body, (a_seq, b_seq))
     if order is None:
         return None
-    tail = _order_tail(log, spec, closure, order, a_seq, b_seq)
+    tail = _order_tail(log, closure, order, a_seq, b_seq)
     if tail is None:
         return None
     return _materialize(log, order + tail)
@@ -72,7 +81,6 @@ def build_witness(
 
 def _linearize_body(
     log: TraceLog,
-    spec: HappensBeforeSpec,
     closure: SyncPreservingClosure,
     body: List[int],
     tail: Tuple[int, int],
@@ -93,11 +101,10 @@ def _linearize_body(
     releases_on: Dict[int, List[int]] = {}
     publishes_on: Dict[int, List[int]] = {}
     for seq in body:
-        e = events[seq]
-        if spec.is_release_event(e):
-            releases_on.setdefault(e.address, []).append(seq)
-        if spec.is_static_publish_event(e):
-            publishes_on.setdefault(e.address, []).append(seq)
+        if closure.releases[seq]:
+            releases_on.setdefault(events[seq].address, []).append(seq)
+        if closure.publishes[seq]:
+            publishes_on.setdefault(events[seq].address, []).append(seq)
 
     pairings = closure.pairings
     constrained = body + [t for t in tail]
@@ -194,7 +201,6 @@ def _toposort(
 
 def _order_tail(
     log: TraceLog,
-    spec: HappensBeforeSpec,
     closure: SyncPreservingClosure,
     body_order: List[int],
     a_seq: int,
@@ -205,20 +211,18 @@ def _order_tail(
     last_release: Dict[int, int] = {}
     last_publish: Dict[int, int] = {}
     for seq in body_order:
-        e = events[seq]
-        if spec.is_release_event(e):
-            last_release[e.address] = seq
-        if spec.is_static_publish_event(e):
-            last_publish[e.address] = seq
+        if closure.releases[seq]:
+            last_release[events[seq].address] = seq
+        if closure.publishes[seq]:
+            last_publish[events[seq].address] = seq
     for tail in ([a_seq, b_seq], [b_seq, a_seq]):
-        if _tail_ok(events, spec, closure, tail, last_release, last_publish):
+        if _tail_ok(events, closure, tail, last_release, last_publish):
             return tail
     return None
 
 
 def _tail_ok(
     events: List[TraceEvent],
-    spec: HappensBeforeSpec,
     closure: SyncPreservingClosure,
     tail: List[int],
     last_release: Dict[int, int],
@@ -234,7 +238,7 @@ def _tail_ok(
         if seq in pairings.statics:
             if last_publish.get(e.address) != pairings.statics[seq]:
                 return False
-        if spec.is_release_event(e):
+        if closure.releases[seq]:
             release_state[e.address] = seq
     return True
 
@@ -269,6 +273,7 @@ def validate_witness(
     b_seq: int,
     near: float = 1.0,
     window_cap: int = 15,
+    source_pairings: Optional[SyncPairings] = None,
 ) -> List[str]:
     """Check the witness contract from scratch; returns problem strings.
 
@@ -279,6 +284,11 @@ def validate_witness(
     racy pair, so open calls are allowed, but every other invariant —
     monotone time, attribution, stack discipline, genuinely conflicting
     windows — must hold).
+
+    ``source_pairings`` is ``sync_pairings(log.events, spec)`` computed
+    once per source log by a caller validating many witnesses of it;
+    ``None`` derives it here.  The witness's own pairings are always
+    re-derived from scratch.
     """
     problems: List[str] = []
     origin: List[int] = []
@@ -327,7 +337,11 @@ def validate_witness(
             problems.append("witness tail events do not conflict")
 
     # Sync-preservation: identical pairings, event by event.
-    original = sync_pairings(log.events, spec)
+    original = (
+        source_pairings
+        if source_pairings is not None
+        else sync_pairings(log.events, spec)
+    )
     seq_of = {id(e): seq for e, seq in zip(witness.events, origin)}
     reordered = sync_pairings(witness.events, spec, seq_of=seq_of)
     for seq in origin:

@@ -11,12 +11,23 @@ returns).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Set
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, NamedTuple, Set, Tuple
 
 from ..trace.optypes import OpRef, OpType, Role, SyncOp
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..trace.events import TraceEvent
+
+
+class EventRoles(NamedTuple):
+    """The four event-level predicates of a spec, for one static op."""
+
+    acquire: bool
+    release: bool
+    #: A release into a collective (phase) channel.
+    collective: bool
+    #: An EXIT publishing a static-initialization channel.
+    publish: bool
 
 
 @dataclass
@@ -74,7 +85,7 @@ class HappensBeforeSpec:
             return True
         return (
             event.optype is OpType.EXIT
-            and event.name in self.acquire_method_names()
+            and OpRef(event.name, OpType.ENTER) in self.acquires
         )
 
     def is_release_event(self, event: "TraceEvent") -> bool:
@@ -96,6 +107,32 @@ class HappensBeforeSpec:
             and event.name in self.static_init_methods
         )
 
+    def event_roles(self) -> Callable[["TraceEvent"], EventRoles]:
+        """A classifier for one pass over a trace.
+
+        Every predicate above depends only on the event's static op
+        ``(name, optype)`` and the spec's sets, so the classifier
+        evaluates them once per static op and serves repeats from a
+        memo.  The memo lives as long as the returned function: call
+        this once per pass, so a spec mutated between passes is never
+        served stale roles.
+        """
+        memo: Dict[Tuple[str, OpType], EventRoles] = {}
+
+        def roles(event: "TraceEvent") -> EventRoles:
+            key = (event.name, event.optype)
+            found = memo.get(key)
+            if found is None:
+                found = memo[key] = EventRoles(
+                    self.is_acquire_event(event),
+                    self.is_release_event(event),
+                    self.is_collective_release_event(event),
+                    self.is_static_publish_event(event),
+                )
+            return found
+
+        return roles
+
     @staticmethod
     def from_syncs(name: str, syncs: Iterable[SyncOp]) -> "HappensBeforeSpec":
         """Build a spec from (op, role) pairs — e.g. SherLock's inference."""
@@ -115,4 +152,4 @@ class HappensBeforeSpec:
         )
 
 
-__all__ = ["HappensBeforeSpec"]
+__all__ = ["EventRoles", "HappensBeforeSpec"]

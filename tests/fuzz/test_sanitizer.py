@@ -3,14 +3,17 @@ hand-corrupted trace and stays quiet on genuine kernel output."""
 
 import pytest
 
-from repro.apps.registry import get_application
+from repro.apps.registry import app_ids, family_app_ids, get_application
 from repro.core.config import SherlockConfig
 from repro.core.observer import Observer
+from repro.core.windows import Window, WindowExtractor
 from repro.fuzz import TraceSanitizer, sanitize_execution, trace_digest
+from repro.fuzz.sanitizer import _index_endpoints
 from repro.sim.runner import TestExecution as Execution
 from repro.trace import OpType, TraceEvent, TraceLog
 from repro.trace.events import DelayInterval
 from repro.trace.optypes import OpRef
+from tests.oracles import LinearScanSanitizer
 
 
 def make_log(events, run_id=0):
@@ -181,6 +184,147 @@ class TestConflictingWindows:
             ev(0.2, 1, OpType.READ, "C::f", addr=5),
         ])
         assert sanitize_execution(execution(log)) == []
+
+
+def check_window(log, window, near=1.0):
+    """The window check's verdict from production and from the oracle."""
+    production = TraceSanitizer(near=near)._verify_window_conflict(
+        _index_endpoints(log), window
+    )
+    oracle = LinearScanSanitizer(near=near)._verify_window_conflict(
+        log, window
+    )
+    return production, oracle
+
+
+def window(a, b, a_time, b_time):
+    """A hand-made window over the static ops ``a`` and ``b``."""
+    return Window(pair_key=(a, b), run_id=0, a_time=a_time, b_time=b_time)
+
+
+W = OpRef("C::f", OpType.WRITE)
+R = OpRef("C::f", OpType.READ)
+
+
+class TestWindowConflictCheck:
+    """Hand-made windows the extractor would never build: the check must
+    reject each one exactly as the linear-scan oracle does."""
+
+    def test_endpoints_absent_from_the_log(self):
+        log = make_log([
+            ev(0.1, 1, OpType.WRITE, "C::f", addr=5),
+            ev(0.2, 2, OpType.READ, "C::f", addr=5),
+        ])
+        for w in (
+            window(W, R, 0.15, 0.2),   # no a at 0.15
+            window(W, R, 0.1, 0.25),   # no b at 0.25
+            window(R, W, 0.1, 0.2),    # right times, wrong ops
+            window(OpRef("C::g", OpType.WRITE), R, 0.1, 0.2),
+        ):
+            production, oracle = check_window(log, w)
+            assert production == oracle
+            assert "endpoints not found" in production.message
+
+    @pytest.mark.parametrize("case", [
+        "same-thread", "different-address", "read-read", "beyond-near",
+    ])
+    def test_endpoints_that_do_not_conflict(self, case):
+        a_tid, b_tid, b_addr, b_op, b_time = {
+            "same-thread": (1, 1, 5, OpType.READ, 0.2),
+            "different-address": (1, 2, 6, OpType.READ, 0.2),
+            "read-read": (1, 2, 5, OpType.READ, 0.2),
+            "beyond-near": (1, 2, 5, OpType.READ, 1.5),
+        }[case]
+        a_op = OpType.READ if case == "read-read" else OpType.WRITE
+        log = make_log([
+            ev(0.1, a_tid, a_op, "C::f", addr=5),
+            ev(b_time, b_tid, b_op, "C::f", addr=b_addr),
+        ])
+        w = window(OpRef("C::f", a_op), OpRef("C::f", b_op), 0.1, b_time)
+        production, oracle = check_window(log, w)
+        assert production == oracle
+        assert production.code == "conflicting-windows"
+        assert "do not genuinely conflict" in production.message
+
+    def test_clean_when_any_same_timestamp_pairing_conflicts(self):
+        # Two reads of C::f at 0.2: the thread-1 one does not conflict
+        # with the thread-1 write, the thread-2 one does.
+        for readers in ((1, 2), (2, 1)):
+            log = make_log([
+                ev(0.1, 1, OpType.WRITE, "C::f", addr=5),
+                ev(0.2, readers[0], OpType.READ, "C::f", addr=5),
+                ev(0.2, readers[1], OpType.READ, "C::f", addr=5),
+            ])
+            assert check_window(log, window(W, R, 0.1, 0.2)) == (None, None)
+
+    def test_endpoint_times_match_within_tolerance(self):
+        log = make_log([
+            ev(0.1, 1, OpType.WRITE, "C::f", addr=5),
+            ev(0.2, 2, OpType.READ, "C::f", addr=5),
+        ])
+        near_hit = window(W, R, 0.1 + 5e-13, 0.2 - 5e-13)
+        assert check_window(log, near_hit) == (None, None)
+        production, oracle = check_window(
+            log, window(W, R, 0.1 + 2e-12, 0.2)
+        )
+        assert production == oracle
+        assert "endpoints not found" in production.message
+
+
+def _delay_round_executions(app_id, seed):
+    """Every execution of a three-round pipeline run; rounds after the
+    first carry the Perturber's injected delays."""
+    from repro.core.pipeline import Sherlock
+
+    collected = []
+    Sherlock(
+        get_application(app_id),
+        SherlockConfig(rounds=3, seed=seed),
+        round_listener=lambda _i, execs: collected.extend(execs),
+    ).run()
+    return collected
+
+
+def _shifted(w, da, db):
+    return window(*w.pair_key, w.a_time + da, w.b_time + db)
+
+
+def _verdict(violation):
+    if violation is None:
+        return "clean"
+    return "missing" if "not found" in violation.message else "mismatch"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("app_id", app_ids() + family_app_ids())
+def test_window_check_matches_linear_scan_oracle(app_id, seed):
+    """Production and oracle agree on every execution, and on every
+    extracted window plus displaced copies that miss or mismatch."""
+    production = TraceSanitizer()
+    oracle = LinearScanSanitizer()
+    executions = _delay_round_executions(app_id, seed)
+    assert any(e.log.delays for e in executions)
+    verdicts = set()
+    for execution_ in executions:
+        assert production.sanitize(execution_) == oracle.sanitize(
+            execution_
+        )
+        log = execution_.log
+        endpoints = _index_endpoints(log)
+        for w in WindowExtractor(near=1.0, window_cap=15).extract(log):
+            a_ref, b_ref = w.pair_key
+            for probe in (
+                w,
+                window(b_ref, a_ref, w.b_time, w.a_time),
+                window(a_ref, a_ref, w.a_time, w.a_time),
+                _shifted(w, 0.0, 1e-3),
+            ):
+                expected = oracle._verify_window_conflict(log, probe)
+                assert production._verify_window_conflict(
+                    endpoints, probe
+                ) == expected
+                verdicts.add(_verdict(expected))
+    assert verdicts == {"clean", "missing", "mismatch"}
 
 
 class TestTraceDigest:

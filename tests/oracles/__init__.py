@@ -6,6 +6,10 @@ obviously-correct version of a fast path:
 * :class:`~tests.oracles.windows.AllPairsWindowExtractor` — the O(n²)
   all-pairs window scan with linear-scan trace queries, the reference
   for :class:`~repro.core.windows.WindowExtractor`'s indexed scan;
+* :class:`~tests.oracles.sanitizer.LinearScanSanitizer` — the
+  linear-scan ``conflicting-windows`` check, the reference for
+  :class:`~repro.fuzz.sanitizer.TraceSanitizer`'s indexed endpoint
+  lookup;
 * :func:`reference_paths` — makes the production
   :class:`~repro.core.pipeline.Sherlock` loop extract with the all-pairs
   oracle and re-encode every round from scratch with
@@ -18,6 +22,7 @@ from typing import Iterator
 
 import pytest
 
+from .sanitizer import LinearScanSanitizer
 from .windows import AllPairsWindowExtractor
 
 
@@ -37,4 +42,8 @@ def reference_paths() -> Iterator[None]:
         yield
 
 
-__all__ = ["AllPairsWindowExtractor", "reference_paths"]
+__all__ = [
+    "AllPairsWindowExtractor",
+    "LinearScanSanitizer",
+    "reference_paths",
+]

@@ -12,11 +12,19 @@ every predicted conflicting pair, the constructed witness must:
 * pair each acquire with the same release (and each post-publish access
   with the same static publish) as the source trace;
 * end with the predicted pair as its final two, conflicting, events.
+
+The role classifier (``HappensBeforeSpec.event_roles``) the closure and
+``sync_pairings`` read instead of the spec's predicates is pinned to
+those predicates on generated traces with every role kind and on every
+app's run, and is rebuilt per pass, so a spec mutated between passes is
+seen at once.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.registry import app_ids, family_app_ids, get_application
 from repro.predict import (
     SyncPreservingClosure,
     WITNESS_OF,
@@ -24,10 +32,11 @@ from repro.predict import (
     sync_pairings,
     validate_witness,
 )
-from repro.racedet import HappensBeforeSpec
+from repro.racedet import HappensBeforeSpec, manual_spec
+from repro.sim.runner import RunOptions, run_application
 from repro.trace.events import TraceEvent
 from repro.trace.log import TraceLog
-from repro.trace.optypes import OpType
+from repro.trace.optypes import OpRef, OpType
 
 VOLATILE = "Gen.Obj::flag"
 PLAIN = ("Gen.Obj::data", "Gen.Obj::count")
@@ -139,3 +148,110 @@ def test_witness_ends_with_the_racy_pair_and_validates(steps):
         assert {e.meta[WITNESS_OF] for e in tail} == {a_seq, b_seq}
         assert tail[0].conflicts_with(tail[1])
         assert validate_witness(log, witness, SPEC, a_seq, b_seq) == []
+
+
+# -- the role classifier -------------------------------------------------------
+
+METHODS = ("Gen.Lock::Enter", "Gen.Lock::Exit", "Gen.Phase::Arrive",
+           "Gen.Obj::.cctor")
+
+#: Every role a spec can give an event: delegate/begin acquires (and the
+#: EXIT join of the same method), releases, a collective release, a
+#: static-init publish, and volatile field accesses.
+ROLE_SPEC = HappensBeforeSpec(
+    name="roles",
+    acquires={OpRef("Gen.Lock::Enter", OpType.ENTER)},
+    releases={
+        OpRef("Gen.Lock::Exit", OpType.EXIT),
+        OpRef("Gen.Phase::Arrive", OpType.EXIT),
+    },
+    volatile_fields={VOLATILE},
+    static_init_methods={"Gen.Obj::.cctor"},
+    collective_releases={"Gen.Phase::Arrive"},
+)
+
+#: One trace step with any op type: (thread, name, optype, address).
+_role_step = st.one_of(
+    st.tuples(
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from((VOLATILE,) + PLAIN),
+        st.sampled_from((OpType.READ, OpType.WRITE)),
+        st.integers(min_value=0, max_value=1),
+    ),
+    st.tuples(
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from(METHODS),
+        st.sampled_from((OpType.ENTER, OpType.EXIT)),
+        st.integers(min_value=0, max_value=1),
+    ),
+)
+
+
+def _spec_predicates(spec, event):
+    return (
+        spec.is_acquire_event(event),
+        spec.is_release_event(event),
+        spec.is_collective_release_event(event),
+        spec.is_static_publish_event(event),
+    )
+
+
+def _assert_roles_match_spec(log, spec):
+    roles = spec.event_roles()
+    closure = SyncPreservingClosure(log, spec)
+    for e in log.events:
+        expected = _spec_predicates(spec, e)
+        assert tuple(roles(e)) == expected, e
+        assert closure.releases[e.seq] == expected[1], e
+        assert closure.publishes[e.seq] == expected[3], e
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(_role_step, min_size=1, max_size=30))
+def test_roles_match_spec_predicates_on_generated_traces(steps):
+    log = TraceLog(run_id=0)
+    for i, (tid, name, optype, addr) in enumerate(steps):
+        log.append(TraceEvent(
+            timestamp=(i + 1) * 0.5, thread_id=tid, optype=optype,
+            name=name, address=1000 + addr,
+        ))
+    for spec in (SPEC, ROLE_SPEC):
+        _assert_roles_match_spec(log, spec)
+
+
+@pytest.mark.parametrize("app_id", app_ids() + family_app_ids())
+def test_roles_match_spec_predicates_on_app_traces(app_id):
+    """Every app's manual spec on one run, App-10's phaser collective
+    releases included."""
+    app = get_application(app_id)
+    spec = manual_spec(app)
+    collective = 0
+    for execution in run_application(app, RunOptions(seed=0, run_id=0)):
+        _assert_roles_match_spec(execution.log, spec)
+        collective += sum(
+            spec.is_collective_release_event(e) for e in execution.log
+        )
+    if app_id == "App-10":
+        assert collective > 0
+
+
+def test_mutated_spec_gives_the_next_pass_new_roles():
+    """A spec grown between passes (as ``from_syncs`` grows its own) is
+    never served the previous pass's roles."""
+    log = _build_log([
+        (1, "Gen.Obj::data", True, 0),   # 0: write
+        (2, "Gen.Obj::data", False, 0),  # 1: read
+    ])
+    spec = HappensBeforeSpec(name="grown")
+    first = sync_pairings(log.events, spec)
+    assert first.acquires == {}
+    spec.releases.add(OpRef("Gen.Obj::data", OpType.WRITE))
+    spec.acquires.add(OpRef("Gen.Obj::data", OpType.READ))
+    second = sync_pairings(log.events, spec)
+    assert second.acquires == {1: 0}
+    spec.static_init_methods.add("Gen.Obj::data")  # never an EXIT
+    spec.volatile_fields.add("Gen.Obj::data")
+    assert sync_pairings(log.events, spec) == second
+    spec.releases.clear()
+    spec.volatile_fields.clear()
+    assert sync_pairings(log.events, spec).acquires == {1: None}
