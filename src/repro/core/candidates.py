@@ -12,7 +12,7 @@ equivalent to pinning them at 0.  When the property is ablated
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from ..lp import Model, Variable
 from ..trace.optypes import OpRef, Role, SyncOp
@@ -25,6 +25,11 @@ class CandidateRegistry:
         self.model = model
         self.enforce_capability = enforce_capability
         self._vars: Dict[SyncOp, Variable] = {}
+        #: Per-role memo of :meth:`side_vars`, keyed by a side's ordered refs.
+        self._sides: Dict[Role, Dict[Tuple[OpRef, ...], Tuple[Variable, ...]]] = {
+            Role.RELEASE: {},
+            Role.ACQUIRE: {},
+        }
 
     @staticmethod
     def var_name(ref: OpRef, role: Role) -> str:
@@ -43,21 +48,29 @@ class CandidateRegistry:
         self._vars[key] = variable
         return variable
 
-    def release_vars(self, refs: Iterable[OpRef]) -> List[Variable]:
-        out = []
-        for ref in refs:
-            v = self.var(ref, Role.RELEASE)
-            if v is not None:
-                out.append(v)
-        return out
+    def side_vars(
+        self, refs: Sequence[OpRef], role: Role
+    ) -> Tuple[Variable, ...]:
+        """The ``role`` variables of one window side's refs, in order,
+        skipping combinations the capability property rules out.
 
-    def acquire_vars(self, refs: Iterable[OpRef]) -> List[Variable]:
-        out = []
-        for ref in refs:
-            v = self.var(ref, Role.ACQUIRE)
-            if v is not None:
-                out.append(v)
-        return out
+        Memoized per distinct side (many windows share one).  Exact:
+        :meth:`var` is a pure function of (ref, role) that creates each
+        variable on first use, so the first lookup of a side creates
+        variables in the order a plain per-ref lookup would, and a later
+        lookup of the same ordered refs would create none.
+        """
+        memo = self._sides[role]
+        key = tuple(refs)
+        found = memo.get(key)
+        if found is None:
+            out = []
+            for ref in key:
+                v = self.var(ref, role)
+                if v is not None:
+                    out.append(v)
+            found = memo[key] = tuple(out)
+        return found
 
     def items(self) -> Iterable[Tuple[SyncOp, Variable]]:
         return self._vars.items()

@@ -1,10 +1,12 @@
 """Observation accumulation across runs (§4.3).
 
 The store keeps every window, occurrence statistic, method-duration sample
-and observed-data-race mark from all rounds so far.  The encoder rebuilds
-the LP from the whole store after each round, exactly as the paper
-describes ("SherLock does not throw away any constraints or objective
-function terms obtained from previous runs").
+and observed-data-race mark from all rounds so far.  After each round the
+encoder brings its LP up to date with the whole store — appending the
+round's new windows and re-deriving the store-global terms — so the LP
+always encodes every observation so far, exactly as the paper describes
+("SherLock does not throw away any constraints or objective function
+terms obtained from previous runs").
 """
 
 from __future__ import annotations
@@ -71,12 +73,9 @@ class ObservationStore:
         #: Op refs ever observed anywhere (for reporting).
         self.observed_ops: Set[OpRef] = set()
         self.runs_ingested: int = 0
-        # Running per-op occurrence totals over *all* windows, exactly the
-        # integer sums `average_occurrence` recomputes by scanning.  Kept
-        # online so the incremental encoder's Eq. (4) lookups are O(1) per
-        # round; `average_occurrence()` itself deliberately stays a full
-        # rescan (it is the rebuild-from-scratch reference the fast path
-        # is differentially tested and benchmarked against).
+        # Running per-op occurrence totals over *all* windows: the integer
+        # sums a rescan of `windows` would give, kept online so each
+        # round's Eq. (4) weights cost O(ops), not O(windows).
         self._rel_occ_total: Dict[OpRef, int] = {}
         self._rel_occ_windows: Dict[OpRef, int] = {}
         self._acq_occ_total: Dict[OpRef, int] = {}
@@ -150,28 +149,8 @@ class ObservationStore:
 
         Feeds Eq. (4): an op like a hot logging call or a spin-loop read
         appears many times inside each window it occupies and is penalized.
+        Read off the running totals, so O(ops) rather than O(windows).
         """
-        rel_total: Dict[OpRef, int] = {}
-        rel_windows: Dict[OpRef, int] = {}
-        acq_total: Dict[OpRef, int] = {}
-        acq_windows: Dict[OpRef, int] = {}
-        for window in self.windows:
-            for ref, count in window.release_side.items():
-                rel_total[ref] = rel_total.get(ref, 0) + count
-                rel_windows[ref] = rel_windows.get(ref, 0) + 1
-            for ref, count in window.acquire_side.items():
-                acq_total[ref] = acq_total.get(ref, 0) + count
-                acq_windows[ref] = acq_windows.get(ref, 0) + 1
-        rel_avg = {r: rel_total[r] / rel_windows[r] for r in rel_total}
-        acq_avg = {r: acq_total[r] / acq_windows[r] for r in acq_total}
-        return rel_avg, acq_avg
-
-    def average_occurrence_running(
-        self,
-    ) -> Tuple[Dict[OpRef, float], Dict[OpRef, float]]:
-        """Same values as :meth:`average_occurrence` from the running
-        totals — exact, because both sides sum the same integers before
-        the one division."""
         rel_avg = {
             r: self._rel_occ_total[r] / self._rel_occ_windows[r]
             for r in self._rel_occ_total

@@ -18,14 +18,14 @@ manual annotations (Manual_pr) or SherLock's inferred sync set
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.index import ConflictGroups
 from ..racedet.fasttrack import RaceReport
 from ..racedet.spec import HappensBeforeSpec
 from ..trace.log import TraceLog
 from .closure import SyncPairings, SyncPreservingClosure, sync_pairings
-from .witness import build_witness, validate_witness
+from .witness import build_witness, program_order, validate_witness
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,12 @@ class PredictiveDetector:
         analysis = PredictionAnalysis(spec_name=self.spec.name)
         closure = SyncPreservingClosure(log, self.spec)
         groups = ConflictGroups(log.memory_events())
-        # The validator's view of the source log, derived on first use
-        # and shared by every witness of this log.  It is computed apart
-        # from ``closure.pairings`` so validation shares no state with
-        # construction.
+        # The validator's view of the source log (its sync pairings and
+        # per-thread order), derived on first use and shared by every
+        # witness of this log.  It is computed apart from the closure so
+        # validation shares no state with construction.
         source: Optional[SyncPairings] = None
+        source_order: Optional[Dict[int, List[int]]] = None
         #: Dedup key: one representative per (field, address, access
         #: kinds, thread pair) — the earliest pair that witnesses wins.
         reported: Set[Tuple[str, int, str, str, int, int]] = set()
@@ -162,10 +163,12 @@ class PredictiveDetector:
                     if self.validate:
                         if source is None:
                             source = sync_pairings(log.events, self.spec)
+                            source_order = program_order(log.events)
                         problems = validate_witness(
                             log, witness, self.spec, a_seq, b_seq,
                             near=self.near, window_cap=self.window_cap,
                             source_pairings=source,
+                            source_order=source_order,
                         )
                         if problems:
                             analysis.invalid_witnesses += 1

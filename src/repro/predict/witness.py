@@ -265,6 +265,14 @@ def _materialize(log: TraceLog, order: List[int]) -> TraceLog:
 # -- validation ----------------------------------------------------------------
 
 
+def program_order(events: List[TraceEvent]) -> Dict[int, List[int]]:
+    """Each thread's event ``seq`` values in log order."""
+    by_thread: Dict[int, List[int]] = {}
+    for e in events:
+        by_thread.setdefault(e.thread_id, []).append(e.seq)
+    return by_thread
+
+
 def validate_witness(
     log: TraceLog,
     witness: TraceLog,
@@ -274,6 +282,7 @@ def validate_witness(
     near: float = 1.0,
     window_cap: int = 15,
     source_pairings: Optional[SyncPairings] = None,
+    source_order: Optional[Dict[int, List[int]]] = None,
 ) -> List[str]:
     """Check the witness contract from scratch; returns problem strings.
 
@@ -285,10 +294,11 @@ def validate_witness(
     monotone time, attribution, stack discipline, genuinely conflicting
     windows — must hold).
 
-    ``source_pairings`` is ``sync_pairings(log.events, spec)`` computed
-    once per source log by a caller validating many witnesses of it;
-    ``None`` derives it here.  The witness's own pairings are always
-    re-derived from scratch.
+    ``source_pairings`` (``sync_pairings(log.events, spec)``) and
+    ``source_order`` (``program_order(log.events)``) are the source log's
+    view, computed once per log by a caller validating many witnesses of
+    it; ``None`` derives each here.  The witness's own pairings and
+    per-thread order are always re-derived from scratch.
     """
     problems: List[str] = []
     origin: List[int] = []
@@ -318,9 +328,10 @@ def validate_witness(
     by_thread: Dict[int, List[int]] = {}
     for seq in origin:
         by_thread.setdefault(log.events[seq].thread_id, []).append(seq)
-    original_by_thread: Dict[int, List[int]] = {}
-    for e in log.events:
-        original_by_thread.setdefault(e.thread_id, []).append(e.seq)
+    original_by_thread = (
+        source_order if source_order is not None
+        else program_order(log.events)
+    )
     for tid, seqs in by_thread.items():
         if seqs != original_by_thread[tid][: len(seqs)]:
             problems.append(
@@ -387,5 +398,6 @@ __all__ = [
     "WITNESS_OF",
     "WITNESS_TIME_STEP",
     "build_witness",
+    "program_order",
     "validate_witness",
 ]

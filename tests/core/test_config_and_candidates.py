@@ -115,8 +115,17 @@ class TestCandidateRegistry:
         registry = CandidateRegistry(Model())
         refs = [read_of("C::f"), write_of("C::f"), begin_of("C::m"),
                 end_of("C::m")]
-        assert len(registry.release_vars(refs)) == 2  # write + end
-        assert len(registry.acquire_vars(refs)) == 2  # read + begin
+        released = registry.side_vars(refs, Role.RELEASE)
+        acquired = registry.side_vars(refs, Role.ACQUIRE)
+        assert [v.name for v in released] == [
+            "rel:write:C::f", "rel:exit:C::m"
+        ]
+        assert [v.name for v in acquired] == [
+            "acq:read:C::f", "acq:enter:C::m"
+        ]
+        # A side is looked up once; the same ordered refs hit the memo.
+        assert registry.side_vars(list(refs), Role.RELEASE) is released
+        assert len(registry) == 4
 
     def test_unit_bounds(self):
         registry = CandidateRegistry(Model())
