@@ -217,9 +217,9 @@ class _FactorContext:
 
 def _as_csr(a, n: int):
     """The standard form's constraint block as CSR without densifying:
-    cached lowerings already arrive sparse, the dense
-    :meth:`~repro.lp.model.Model.to_standard_form` path is *sparsified*
-    (the reverse of what the tableau does)."""
+    :meth:`~repro.lp.model.Model.to_standard_form` already lowers to
+    CSR, a hand-built dense form is *sparsified* (the reverse of what
+    the tableau does)."""
     from scipy.sparse import csr_matrix, issparse
 
     if issparse(a):

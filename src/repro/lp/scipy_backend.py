@@ -38,8 +38,9 @@ def solve_scipy(
         )
 
     def to_csr(a):
-        # The cached lowering hands us csr directly; the dense path
-        # converts here.  Either way, absent when there are no rows.
+        # The model's lowering hands us csr directly; a hand-built
+        # dense form converts here.  Either way, absent when there are
+        # no rows.
         if issparse(a):
             return a if a.shape[0] else None
         return csr_matrix(a) if a.size else None

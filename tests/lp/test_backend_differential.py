@@ -313,10 +313,12 @@ def test_presolve_postsolve_round_trip(spec):
 
 def test_prepare_sparse_keeps_matrix_sparse():
     """The assembled phase-1/2 matrix is sparse even when the standard
-    form arrives dense (the uncached ``to_standard_form`` path)."""
+    form arrives dense (a hand-built form, here the reference
+    lowering)."""
     from scipy import sparse
 
     from repro.lp.revised import _prepare_sparse
+    from tests.oracles.encoder import dense_standard_form
 
     m = Model("sparse-check")
     xs = [m.add_variable(f"x{i}", 0, 1) for i in range(4)]
@@ -325,6 +327,6 @@ def test_prepare_sparse_keeps_matrix_sparse():
     m.add_constraint(xs[0] + xs[3] <= 1.5)
     for x in xs:
         m.add_objective_term(x, 1.0)
-    problem = _prepare_sparse(m.to_standard_form())
+    problem = _prepare_sparse(dense_standard_form(m))
     assert sparse.issparse(problem.matrix)
     assert sparse.issparse(problem.matrix_t)

@@ -181,7 +181,7 @@ def test_standard_form_shapes():
     assert form.a_ub.shape == (2, 2)
     assert form.a_eq.shape == (1, 2)
     # >= row was flipped into <=.
-    assert np.allclose(form.a_ub[1], [-1.0, 1.0])
+    assert np.allclose(form.a_ub.toarray()[1], [-1.0, 1.0])
     assert form.b_ub[1] == pytest.approx(1.0)
 
 
