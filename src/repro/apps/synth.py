@@ -238,8 +238,8 @@ def build_synth_app(spec: SynthSpec) -> Application:
 #: The registered scale tier.  XL1 is the smallest config that clears
 #: the floor of ~10,000 coverage windows and ~10,000 LP variables over a
 #: standard 3-round x ``tests``-log accumulation; XL2/XL3 scale the LP
-#: further while keeping the dense-tableau reference runnable (its
-#: tableau is O(rows x columns) dense memory).
+#: further, sized so the dense-tableau test oracle still fits in memory
+#: on them (its tableau is O(rows x columns) dense memory).
 SCALE_SPECS = {
     "App-XL1": SynthSpec(
         app_id="App-XL1", pairs=8, fields_per_pair=24, episodes=10

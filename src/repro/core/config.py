@@ -45,10 +45,10 @@ class SherlockConfig:
     rare_coef: float = 0.1
     #: Probability at/above which a variable counts as "assigned 1".
     threshold: float = 0.9
-    #: LP backend: "auto" (scipy, falling back to the built-in revised
-    #: simplex) | "scipy"/"highs" | "simplex"/"revised-simplex" (sparse
-    #: revised simplex, the built-in default) | "dense-tableau" (the
-    #: historical dense reference implementation).
+    #: LP backend: "auto" (scipy/HiGHS, falling back to the built-in
+    #: revised simplex when HiGHS ends without an optimum or a proof, e.g.
+    #: at an iteration limit) | "scipy"/"highs" | "simplex"/
+    #: "revised-simplex" (the built-in sparse revised simplex).
     backend: str = "auto"
 
     # -- Perturber (§3, §4.3) --------------------------------------------------

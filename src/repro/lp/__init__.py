@@ -1,10 +1,9 @@
 """Linear-programming substrate.
 
 A small modelling layer (variables, linear expressions, constraints,
-``max(0, .)`` / ``|.|`` objective lowering) with interchangeable solver
-backends: a sparse revised simplex over an LU-factorized basis (the
-built-in default), the historical dense tableau (the reference
-implementation), and scipy's HiGHS.
+``max(0, .)`` / ``|.|`` objective lowering) with two interchangeable
+solver backends: scipy's HiGHS (the default) and a from-scratch sparse
+revised simplex over an LU-factorized basis.
 
 This package stands in for the ``Flipy`` library plus external LP solver
 used by the SherLock artifact.
@@ -14,7 +13,6 @@ from .backends import available_backends, solve
 from .expr import EQ, GE, LE, Constraint, LinExpr, as_expr
 from .model import Model, ModelCheckpoint, StandardForm, StandardFormCache
 from .revised import solve_revised
-from .simplex import solve_simplex
 from .scipy_backend import solve_scipy
 from .solution import Solution, SolveStatus
 from .variable import Variable
@@ -37,5 +35,4 @@ __all__ = [
     "solve",
     "solve_revised",
     "solve_scipy",
-    "solve_simplex",
 ]

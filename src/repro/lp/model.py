@@ -15,7 +15,7 @@ coefficient is positive, which is always the case here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,19 +23,23 @@ from .expr import EQ, GE, LE, Constraint, ExprLike, LinExpr, as_expr
 from .solution import Solution
 from .variable import Variable
 
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
+
 
 @dataclass
 class StandardForm:
     """Standard form: minimize ``c @ x`` subject to
     ``a_ub @ x <= b_ub``, ``a_eq @ x == b_eq`` and per-variable bounds.
 
-    ``a_ub``/``a_eq`` are ``scipy.sparse.csr_matrix`` from
-    :meth:`Model.to_standard_form`; backends also accept dense arrays."""
+    ``a_ub``/``a_eq`` are ``scipy.sparse.csr_matrix`` (zero rows when
+    there are none), as :meth:`Model.to_standard_form` produces them;
+    no backend accepts dense arrays."""
 
     c: np.ndarray
-    a_ub: np.ndarray
+    a_ub: "csr_matrix"
     b_ub: np.ndarray
-    a_eq: np.ndarray
+    a_eq: "csr_matrix"
     b_eq: np.ndarray
     bounds: List[Tuple[float, Optional[float]]]
     variables: List[Variable]
@@ -264,9 +268,8 @@ class Model:
         cache was last used).  ``a_ub``/``a_eq`` come back as
         ``scipy.sparse.csr_matrix``: ``<=`` rows as is, ``>=`` rows
         negated, ``==`` rows in ``a_eq``, each in constraint order (so
-        prefix rows stay a prefix of each matrix).  The revised simplex
-        and scipy backends consume the sparse matrices directly; only the
-        dense-tableau reference backend densifies."""
+        prefix rows stay a prefix of each matrix).  Both backends consume
+        the sparse matrices directly."""
         from scipy.sparse import csr_matrix
 
         if cache.prefix_len > prefix_len:
@@ -326,27 +329,20 @@ class Model:
 
     # -- solving -----------------------------------------------------------------
 
-    def solve(self, backend: str = "auto", presolve=True) -> Solution:
+    def solve(self, backend: str = "auto") -> Solution:
         """Solve the model with the requested backend.
 
         Backends (see :mod:`repro.lp.backends`):
 
-        * ``"auto"`` — scipy/HiGHS when available, else the built-in
-          revised simplex;
+        * ``"auto"`` — scipy/HiGHS, falling back to the built-in revised
+          simplex when HiGHS ends without an optimum or a proof;
         * ``"scipy"`` / ``"highs"`` — :func:`scipy.optimize.linprog`;
         * ``"simplex"`` / ``"revised-simplex"`` — the built-in sparse
-          revised simplex with an LU-factorized basis (default built-in);
-        * ``"dense-tableau"`` — the dense tableau reference
-          implementation (escape hatch, byte-identical reports to the
-          revised simplex).
-
-        ``presolve`` is forwarded to :func:`repro.lp.backends.solve`:
-        ``True`` reduces scale-tier-sized forms first (identity below
-        the gate), ``False`` never does, ``"force"`` always does.
+          revised simplex with an LU-factorized basis.
         """
         from . import backends
 
-        return backends.solve(self, backend, presolve=presolve)
+        return backends.solve(self, backend)
 
     def stats(self) -> Dict[str, int]:
         return {

@@ -2,7 +2,7 @@
 
 This is the production backend: SherLock's models routinely have a few
 thousand variables and constraints, and HiGHS solves them in milliseconds.
-The from-scratch :mod:`repro.lp.simplex` backend cross-checks it in tests.
+The from-scratch :mod:`repro.lp.revised` backend cross-checks it in tests.
 """
 
 from __future__ import annotations
@@ -23,11 +23,7 @@ def solve_scipy(
     ``form`` lets callers pass an already-lowered standard form (the
     incremental encoder reuses its cached prefix lowering this way).
     """
-    try:
-        from scipy.optimize import linprog
-        from scipy.sparse import csr_matrix, issparse
-    except ImportError:  # pragma: no cover - scipy is a hard dependency
-        return Solution(SolveStatus.ERROR, backend="scipy")
+    from scipy.optimize import linprog
 
     if form is None:
         form = model.to_standard_form()
@@ -37,16 +33,10 @@ def solve_scipy(
             SolveStatus.OPTIMAL, form.objective_offset, {}, "scipy"
         )
 
-    def to_csr(a):
-        # The model's lowering hands us csr directly; a hand-built
-        # dense form converts here.  Either way, absent when there are
-        # no rows.
-        if issparse(a):
-            return a if a.shape[0] else None
-        return csr_matrix(a) if a.size else None
-
-    a_ub = to_csr(form.a_ub)
-    a_eq = to_csr(form.a_eq)
+    # HiGHS takes the CSR blocks as they are; absent when there are no
+    # rows.
+    a_ub = form.a_ub if form.a_ub.shape[0] else None
+    a_eq = form.a_eq if form.a_eq.shape[0] else None
     bounds = [
         (lo, hi if hi is not None else np.inf) for lo, hi in form.bounds
     ]

@@ -9,6 +9,9 @@ from typing import Dict, Mapping, Optional, Tuple
 from .expr import ExprLike, as_expr
 from .variable import Variable
 
+#: A simplex basis as backend-independent labels; see :attr:`Solution.basis`.
+BasisLabels = Tuple[Tuple[str, object], ...]
+
 
 class SolveStatus(enum.Enum):
     """Outcome of an LP solve."""
@@ -35,7 +38,7 @@ class Solution:
     #: on a redundant row; other backends reject it and cold-start).
     #: ``None`` for backends that don't expose one.  Feed it back via
     #: ``warm_basis=`` to warm-start a re-solve.
-    basis: Optional[Tuple[Tuple[str, object], ...]] = None
+    basis: Optional[BasisLabels] = None
 
     @property
     def is_optimal(self) -> bool:

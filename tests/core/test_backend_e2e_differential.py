@@ -4,9 +4,10 @@ depend on which built-in LP backend solved the rounds.
 Extends ``test_incremental_fastpath.py``'s byte-identity pattern across
 the *backend* axis: for every registered app, a full 3-round run under
 ``backend="simplex"`` (the sparse revised simplex) serializes
-byte-identically to ``backend="dense-tableau"`` (the dense reference),
-both with the incremental warm-start path on and with it off (the
-rebuild reference from ``tests/oracles``).  This
+byte-identically to ``backend="dense-tableau"`` (the dense-tableau
+oracle from ``tests/oracles``, registered for the run), both with the
+incremental warm-start path on and with it off (the rebuild reference
+from ``tests/oracles``).  This
 holds because the two built-ins run identical Bland pivot sequences and
 share one basis-finalization routine, so they agree on every inferred
 sync, every probability bit, and every downstream delay plan.
@@ -29,15 +30,16 @@ from repro.apps.synth import SynthSpec, build_synth_app
 from repro.core import SherlockConfig
 from repro.core.pipeline import Sherlock
 from repro.core.serialize import report_to_dict
-from tests.oracles import reference_paths
+from tests.oracles import dense_tableau_backend, reference_paths
 
 APP_IDS = [app.app_id for app in all_applications()]
 
 
 def _run(app_id: str, backend: str, incremental: bool):
-    config = SherlockConfig(rounds=3, backend=backend)
-    with nullcontext() if incremental else reference_paths():
-        return Sherlock(get_application(app_id), config).run()
+    with dense_tableau_backend():
+        config = SherlockConfig(rounds=3, backend=backend)
+        with nullcontext() if incremental else reference_paths():
+            return Sherlock(get_application(app_id), config).run()
 
 
 def _canonical(report) -> str:
@@ -79,8 +81,8 @@ def test_presolve_flag_byte_identical_below_gate(app_id, monkeypatch):
     """Presolve never runs on a paper-sized LP: a full 3-round run on
     every registered app completes with ``presolve_form`` rigged to
     raise.  Paper-sized LPs sit far below the 4096-real-column gate, so
-    ``repro.lp.solve``'s ``presolve=`` flag cannot change their reports
-    — this is the regression lock on the gate itself.  (Above the gate,
+    presolve cannot change their reports — this is the regression lock
+    on the gate itself.  (Above the gate,
     ``test_scale_tier_warm_rounds_skip_phase1`` shows presolve runs.)"""
     import repro.lp.presolve as presolve
 

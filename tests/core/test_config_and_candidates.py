@@ -74,11 +74,25 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "backend",
-        ["auto", "scipy", "highs", "simplex", "revised-simplex",
-         "dense-tableau"],
+        ["auto", "scipy", "highs", "simplex", "revised-simplex"],
     )
     def test_known_backends_validate(self, backend):
         assert SherlockConfig(backend=backend).backend == backend
+
+    def test_dense_tableau_is_not_a_production_backend(self):
+        """The dense tableau is a test oracle (``tests/oracles``), not a
+        backend: the registry holds the two solvers and their aliases,
+        the config rejects the old name, and ``repro.lp`` no longer
+        exports the tableau."""
+        import repro.lp
+        from repro.lp.backends import available_backends
+
+        assert available_backends() == (
+            "auto", "scipy", "highs", "simplex", "revised-simplex"
+        )
+        with pytest.raises(ValueError, match="unknown LP backend"):
+            SherlockConfig(backend="dense-tableau")
+        assert not hasattr(repro.lp, "solve_simplex")
 
     def test_unknown_backend_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown LP backend"):

@@ -151,7 +151,7 @@ def test_model_stats_exposed():
     windows = [make_window([REL], [ACQ])]
     result = infer(make_store(windows), CONFIG)
     assert result.n_variables >= 2
-    assert result.backend in ("scipy", "revised-simplex", "dense-tableau")
+    assert result.backend in ("scipy", "revised-simplex")
     assert "InferenceResult" in repr(result)
 
 

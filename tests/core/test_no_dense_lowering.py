@@ -25,7 +25,7 @@ from tests.oracles.encoder import dense_standard_form
 def _assert_same_form(sparse, dense):
     assert issparse(sparse.a_ub) and issparse(sparse.a_eq)
     for name in ("a_ub", "a_eq"):
-        got, want = getattr(sparse, name), getattr(dense, name)
+        got, want = getattr(sparse, name), getattr(dense, name).toarray()
         assert got.shape == want.shape
         assert np.array_equal(got.toarray(), want)
         # No explicit zeros: the canonical CSR of the dense matrix.

@@ -1,4 +1,4 @@
-"""Property-based cross-check: from-scratch simplex vs scipy/HiGHS.
+"""Property-based cross-check: the dense-tableau oracle vs scipy/HiGHS.
 
 Random small LPs in the shape SherLock generates (unit-box variables,
 covering constraints, non-negative objective) must produce the same optimal
@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lp import Model, SolveStatus, solve_scipy, solve_simplex
+from repro.lp import Model, SolveStatus, solve_scipy
+from tests.oracles import solve_simplex
 
 
 def _build_random_model(n_vars, cover_sets, costs, ub_rows):

@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lp import Model, SolveStatus, solve_revised, solve_simplex
+from repro.lp import Model, SolveStatus, solve_revised
+from tests.oracles import solve_simplex
 
 _BUILTINS = {"revised": solve_revised, "dense-tableau": solve_simplex}
 

@@ -17,6 +17,11 @@ obviously-correct version of a fast path:
   reference for :class:`~repro.core.encoder.IncrementalEncoder`,
   :func:`~repro.core.encoder.build_model` and the sparse
   :meth:`~repro.lp.Model.to_standard_form`;
+* :func:`~tests.oracles.simplex.solve_simplex` — the dense two-phase
+  tableau simplex, the reference for the sparse revised simplex
+  (:func:`~repro.lp.revised.solve_revised`);
+  :func:`dense_tableau_backend` registers it as the ``"dense-tableau"``
+  LP backend for whole pipeline runs;
 * :func:`reference_paths` — makes the production
   :class:`~repro.core.pipeline.Sherlock` loop extract with the all-pairs
   oracle, and every production ``infer`` (each pipeline round, one-off
@@ -32,6 +37,7 @@ import pytest
 from .encoder import ReferenceEncoder, dense_standard_form
 from .encoder import build_model as reference_build_model
 from .sanitizer import LinearScanSanitizer
+from .simplex import solve_simplex
 from .windows import AllPairsWindowExtractor
 
 
@@ -56,9 +62,28 @@ def reference_paths() -> Iterator[None]:
         yield
 
 
+@contextmanager
+def dense_tableau_backend() -> Iterator[None]:
+    """Register :func:`solve_simplex` as the ``"dense-tableau"`` LP
+    backend inside the block, so ``SherlockConfig(backend=
+    "dense-tableau")`` validates and every solve dispatches to it."""
+    import repro.lp.backends as backends
+
+    production = backends._registry
+
+    def registry():
+        return dict(production(), **{"dense-tableau": solve_simplex})
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backends, "_registry", registry)
+        yield
+
+
 __all__ = [
     "AllPairsWindowExtractor",
     "LinearScanSanitizer",
     "ReferenceEncoder",
+    "dense_tableau_backend",
     "reference_paths",
+    "solve_simplex",
 ]
