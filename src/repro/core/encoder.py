@@ -287,7 +287,7 @@ def _encode_paired(
     for sync, _ in registry.items():
         if sync.op.optype.is_memory:
             fields.add(sync.op.name)
-    for name in fields:
+    for name in sorted(fields):
         read_var = registry.lookup(OpRef(name, OpType.READ), Role.ACQUIRE)
         write_var = registry.lookup(OpRef(name, OpType.WRITE), Role.RELEASE)
         expr = LinExpr()
@@ -312,7 +312,7 @@ def _encode_single_role(
     penalized, letting genuine double-role APIs win both roles when the
     window evidence is strong enough.
     """
-    for name in library_names:
+    for name in sorted(library_names):
         begin_acq = registry.lookup(OpRef(name, OpType.ENTER), Role.ACQUIRE)
         end_rel = registry.lookup(OpRef(name, OpType.EXIT), Role.RELEASE)
         if begin_acq is None or end_rel is None:

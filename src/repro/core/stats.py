@@ -135,15 +135,6 @@ class ObservationStore:
             out.append(window)
         return out
 
-    def candidate_ops(self) -> Tuple[Set[OpRef], Set[OpRef]]:
-        """(release-side ops, acquire-side ops) across all windows."""
-        release: Set[OpRef] = set()
-        acquire: Set[OpRef] = set()
-        for window in self.windows:
-            release.update(window.release_side)
-            acquire.update(window.acquire_side)
-        return release, acquire
-
     def average_occurrence(self) -> Tuple[Dict[OpRef, float], Dict[OpRef, float]]:
         """Mean dynamic-instance count per window, per op, per side.
 
