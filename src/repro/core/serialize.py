@@ -33,8 +33,8 @@ def inference_to_dict(result: InferenceResult) -> Dict[str, Any]:
     # Which backend solved the LP is observability (it lives on
     # InferenceResult and RunMetrics) and is deliberately *not*
     # serialized: reports are backend-independent artifacts, and the
-    # differential suite asserts the built-in backends produce
-    # byte-identical report JSON.
+    # differential suite asserts the revised simplex and the
+    # dense-tableau test oracle produce byte-identical report JSON.
     return {
         "objective": result.objective,
         "n_variables": result.n_variables,
