@@ -70,16 +70,14 @@ class ObservationStore:
         self.method_stats: Dict[str, MethodStats] = {}
         #: Names of ops observed with library=True metadata (Single Role).
         self.library_names: Set[str] = set()
-        #: Op refs ever observed anywhere (for reporting).
-        self.observed_ops: Set[OpRef] = set()
         self.runs_ingested: int = 0
-        # Running per-op occurrence totals over *all* windows: the integer
-        # sums a rescan of `windows` would give, kept online so each
-        # round's Eq. (4) weights cost O(ops), not O(windows).
-        self._rel_occ_total: Dict[OpRef, int] = {}
-        self._rel_occ_windows: Dict[OpRef, int] = {}
-        self._acq_occ_total: Dict[OpRef, int] = {}
-        self._acq_occ_windows: Dict[OpRef, int] = {}
+        # Running per-op occurrence totals over *all* windows, per side:
+        # ref -> [occurrences, windows], the integer sums a rescan of
+        # `windows` would give, kept online so each round's Eq. (4)
+        # weights cost O(ops), not O(windows).  One entry per ref keeps
+        # ingest at one hashed lookup per side entry.
+        self._rel_occ: Dict[OpRef, List[int]] = {}
+        self._acq_occ: Dict[OpRef, List[int]] = {}
 
     # -- ingestion -----------------------------------------------------------
 
@@ -89,32 +87,31 @@ class ObservationStore:
         Returns the delta this run contributed, for incremental encoding.
         """
         delta = IngestDelta()
+        rel_occ = self._rel_occ
+        acq_occ = self._acq_occ
         for window in windows:
             self.windows.append(window)
             delta.windows.append(window)
             if window.racy and window.pair_key not in self.racy_pairs:
                 self.racy_pairs.add(window.pair_key)
                 delta.new_racy_pairs.add(window.pair_key)
-            for ref, count in window.release_side.items():
-                self._rel_occ_total[ref] = (
-                    self._rel_occ_total.get(ref, 0) + count
-                )
-                self._rel_occ_windows[ref] = (
-                    self._rel_occ_windows.get(ref, 0) + 1
-                )
-            for ref, count in window.acquire_side.items():
-                self._acq_occ_total[ref] = (
-                    self._acq_occ_total.get(ref, 0) + count
-                )
-                self._acq_occ_windows[ref] = (
-                    self._acq_occ_windows.get(ref, 0) + 1
-                )
+            for side, totals in (
+                (window.release_side, rel_occ),
+                (window.acquire_side, acq_occ),
+            ):
+                for ref, count in side.items():
+                    entry = totals.get(ref)
+                    if entry is None:
+                        totals[ref] = [count, 1]
+                    else:
+                        entry[0] += count
+                        entry[1] += 1
         for name, samples in log.method_durations().items():
-            stats = self.method_stats.setdefault(name, MethodStats())
-            for value in samples:
-                stats.add(value)
-        for event in log:
-            self.observed_ops.add(event.ref)
+            stats = self.method_stats.get(name)
+            if stats is None:
+                stats = self.method_stats[name] = MethodStats()
+            stats.durations.extend(samples)
+        for event in log.events:
             if event.meta.get("library"):
                 self.library_names.add(event.name)
         delta.events = len(log)
@@ -142,14 +139,8 @@ class ObservationStore:
         appears many times inside each window it occupies and is penalized.
         Read off the running totals, so O(ops) rather than O(windows).
         """
-        rel_avg = {
-            r: self._rel_occ_total[r] / self._rel_occ_windows[r]
-            for r in self._rel_occ_total
-        }
-        acq_avg = {
-            r: self._acq_occ_total[r] / self._acq_occ_windows[r]
-            for r in self._acq_occ_total
-        }
+        rel_avg = {r: total / n for r, (total, n) in self._rel_occ.items()}
+        acq_avg = {r: total / n for r, (total, n) in self._acq_occ.items()}
         return rel_avg, acq_avg
 
     def cv_percentiles(self) -> Dict[str, float]:

@@ -62,7 +62,13 @@ class DelaySpec:
 
 
 class Kernel:
-    """Deterministic discrete-event scheduler for one simulated run."""
+    """Deterministic discrete-event scheduler for one simulated run.
+
+    ``event_filter`` decides which traced events reach ``log``.  It sees
+    each event already stamped with the log's ``run_id`` and next
+    ``seq``; filters read only the event's ``meta`` (the observer drops
+    ``hidden`` methods), and a dropped event leaves ``seq`` dense.
+    """
 
     def __init__(
         self,
@@ -81,6 +87,9 @@ class Kernel:
         self.clock = 0.0
         self.log = log
         self.delay_plan = dict(delay_plan or {})
+        #: Names of the plan's triggers: ``_maybe_delay`` returns before
+        #: building an OpRef for an op whose name is not among them.
+        self._trigger_names = frozenset(ref.name for ref in self.delay_plan)
         self.event_filter = event_filter
         self.max_steps = max_steps
         self.threads: List[SimThread] = []
@@ -306,6 +315,8 @@ class Kernel:
         if thread.delay_paid:
             thread.delay_paid = False
             return False
+        if name not in self._trigger_names:
+            return False
         trigger = OpRef(name, optype)
         spec = self.delay_plan.get(trigger)
         if spec is None:
@@ -343,19 +354,24 @@ class Kernel:
         address: int,
         meta: Optional[Dict[str, Any]] = None,
     ) -> None:
-        event = TraceEvent(
-            timestamp=self.clock,
-            thread_id=thread.tid,
-            optype=optype,
-            name=name,
-            address=address,
-            local_time=thread.local_clock,
-            meta=meta or {},
-        )
-        if self.log is not None and (
-            self.event_filter is None or self.event_filter(event)
-        ):
-            self.log.append(event)
+        """Trace one operation.  The event is built once, already
+        stamped with the log's ``run_id`` and next ``seq``, so
+        ``TraceLog.append`` stores it as it is."""
+        log = self.log
+        if log is not None:
+            event = TraceEvent(
+                timestamp=self.clock,
+                thread_id=thread.tid,
+                optype=optype,
+                name=name,
+                address=address,
+                run_id=log.run_id,
+                seq=len(log.events),
+                local_time=thread.local_clock,
+                meta=meta or {},
+            )
+            if self.event_filter is None or self.event_filter(event):
+                log.append(event)
         self._advance(thread)
 
     def _advance(self, thread: SimThread) -> None:

@@ -42,6 +42,7 @@ class RunOptions:
     run_id: int = 0
     op_cost: float = DEFAULT_OP_COST
     delay_plan: Dict[OpRef, float] = field(default_factory=dict)
+    #: Which events reach the trace; reads only ``meta`` (see ``Kernel``).
     event_filter: Optional[Callable[[TraceEvent], bool]] = None
     max_steps: int = 2_000_000
     #: Scheduling-policy spec ("random", "pct", "pct:0.05").

@@ -12,9 +12,11 @@ from .optypes import OpRef, OpType
 class TraceLog:
     """An append-only log of :class:`TraceEvent` for one run.
 
-    Events are appended in timestamp order by the kernel; ``append`` stamps
-    each event's ``seq``.  The log also carries the delay intervals injected
-    during the run so the window refinement can check delay propagation.
+    Events are appended in timestamp order.  Each stored event carries
+    the log's ``run_id`` and its position as ``seq``: the kernel builds
+    its events stamped already, and ``append`` re-stamps any other.  The
+    log also carries the delay intervals injected during the run so the
+    window refinement can check delay propagation.
     """
 
     def __init__(self, run_id: int = 0) -> None:
@@ -25,19 +27,24 @@ class TraceLog:
     # -- building ------------------------------------------------------------
 
     def append(self, event: TraceEvent) -> TraceEvent:
-        stamped = TraceEvent(
-            timestamp=event.timestamp,
-            thread_id=event.thread_id,
-            optype=event.optype,
-            name=event.name,
-            address=event.address,
-            run_id=self.run_id,
-            seq=len(self.events),
-            local_time=event.local_time,
-            meta=event.meta,
-        )
-        self.events.append(stamped)
-        return stamped
+        """Store ``event`` as the next entry and return the stored event:
+        ``event`` itself when its ``seq`` and ``run_id`` already match,
+        else a copy carrying them."""
+        seq = len(self.events)
+        if event.seq != seq or event.run_id != self.run_id:
+            event = TraceEvent(
+                timestamp=event.timestamp,
+                thread_id=event.thread_id,
+                optype=event.optype,
+                name=event.name,
+                address=event.address,
+                run_id=self.run_id,
+                seq=seq,
+                local_time=event.local_time,
+                meta=event.meta,
+            )
+        self.events.append(event)
+        return event
 
     def add_delay(self, delay: DelayInterval) -> None:
         self.delays.append(delay)

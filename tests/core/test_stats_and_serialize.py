@@ -77,7 +77,6 @@ class TestObservationStore:
         log.append(ev(0.2, 1, OpType.WRITE, "C::x"))
         store.ingest_run(log, [])
         assert store.library_names == {"Lib::Api"}
-        assert len(store.observed_ops) == 2
 
     def test_average_occurrence_per_side(self):
         store = ObservationStore()
