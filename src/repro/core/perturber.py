@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict
 
 from ..sim.kernel import DelaySpec
-from ..trace.optypes import OpRef, OpType
+from ..trace.optypes import OpRef, OpType, SyncOp
 from .config import SherlockConfig
 from .solver import InferenceResult
 
@@ -31,11 +31,17 @@ def build_delay_plan(
     Keys are trigger operations; each spec carries the release site under
     test.  Empty when delay injection is disabled — and on the first
     round, when there is no inference yet (the caller passes no plan).
+
+    Releases are visited in display order, so the plan does not depend
+    on set iteration order.  Two releases share a trigger only when both
+    ``begin(m)`` and ``end(m)`` are releases (possible once the
+    Read-Acq & Write-Rel property is ablated); ``m-End`` sorts after
+    ``m-Begin``, so the ``begin(m)`` trigger then tests ``end(m)``.
     """
     if not config.enable_delay_injection or config.delay <= 0:
         return {}
     plan: Dict[OpRef, DelaySpec] = {}
-    for sync in inference.releases:
+    for sync in sorted(inference.releases, key=SyncOp.display):
         site = sync.op
         if site.optype is OpType.EXIT:
             trigger = OpRef(site.name, OpType.ENTER)

@@ -1,6 +1,11 @@
 """Unit tests for SherlockConfig, the candidate registry, and the
 delay-plan builder."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import CandidateRegistry, SherlockConfig, TABLE5_ABLATIONS
@@ -18,6 +23,8 @@ from repro.trace import (
     read_of,
     write_of,
 )
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestConfig:
@@ -162,6 +169,51 @@ class TestDelayPlan:
         assert isinstance(spec, DelaySpec)
         assert spec.site == end_of("C::m")
         assert spec.duration == pytest.approx(0.1)
+
+    def test_shared_trigger_tests_the_method_exit(self):
+        """With both ``begin(m)`` and ``end(m)`` releases (Read-Acq &
+        Write-Rel ablated) the shared ``begin(m)`` trigger tests
+        ``end(m)``."""
+        inference = self._inference(
+            SyncOp(begin_of("C::m"), Role.RELEASE),
+            SyncOp(end_of("C::m"), Role.RELEASE),
+        )
+        plan = build_delay_plan(inference, SherlockConfig())
+        assert list(plan) == [begin_of("C::m")]
+        assert plan[begin_of("C::m")].site == end_of("C::m")
+
+    def test_shared_trigger_site_does_not_depend_on_hash_seed(self):
+        """The set of releases iterates in hash order, which changes
+        with ``PYTHONHASHSEED``; the plan must not."""
+        script = (
+            "from repro.core import SherlockConfig\n"
+            "from repro.core.perturber import build_delay_plan\n"
+            "from repro.core.solver import InferenceResult\n"
+            "from repro.trace import Role, SyncOp, begin_of, end_of\n"
+            "names = [f'C{i}::m{i}' for i in range(16)]\n"
+            "releases = {SyncOp(op(n), Role.RELEASE)\n"
+            "            for n in names for op in (begin_of, end_of)}\n"
+            "plan = build_delay_plan(\n"
+            "    InferenceResult(releases=releases), SherlockConfig())\n"
+            "for trigger, spec in plan.items():\n"
+            "    print(trigger.display(), spec.site.display())\n"
+        )
+        outputs = {}
+        for hash_seed in ("0", "2", "7"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(ROOT / "src"), env.get("PYTHONPATH", "")]
+            )
+            outputs[hash_seed] = subprocess.run(
+                [sys.executable, "-c", script],
+                check=True,
+                capture_output=True,
+                text=True,
+                env=env,
+            ).stdout
+        assert outputs["0"] == outputs["2"] == outputs["7"]
+        assert outputs["0"].splitlines()[0] == "C0::m0-Begin C0::m0-End"
+        assert len(outputs["0"].splitlines()) == 16
 
     def test_write_release_triggers_at_write(self):
         inference = self._inference(SyncOp(write_of("C::f"), Role.RELEASE))
