@@ -131,19 +131,40 @@ def test_incremental_encoder_model_equals_build_model(monkeypatch):
 
 FIELDS = ["C::a", "C::b", "D::x"]
 METHODS = ["C::m", "D::n"]
+#: Thread-unsafe library APIs: their conflict groups are keyed by the
+#: receiver's address alone, so several names share one group.
+UNSAFE_APIS = ["Lib::Add", "Lib::Get"]
 
 
 @st.composite
 def mixed_logs(draw):
-    """Random multi-thread traces mixing memory accesses and calls."""
+    """Random multi-thread traces mixing memory accesses and calls.
+
+    Besides single events they hold bursts (runs of one thread's
+    accesses, which the window scan jumps over) and calls of
+    thread-unsafe APIs whose ``unsafe_api`` kind mixes ``read`` and
+    ``write`` under one name (conflict groups with several kinds).
+    """
     n = draw(st.integers(2, 40))
     log = TraceLog()
     t = 0.0
     open_calls = {1: [], 2: [], 3: []}
+
+    def access(tid):
+        log.append(
+            TraceEvent(
+                timestamp=t,
+                thread_id=tid,
+                optype=draw(st.sampled_from([OpType.READ, OpType.WRITE])),
+                name=draw(st.sampled_from(FIELDS)),
+                address=draw(st.integers(1, 2)),
+            )
+        )
+
     for _ in range(n):
         t += draw(st.floats(0.001, 0.05))
         tid = draw(st.integers(1, 3))
-        kind = draw(st.integers(0, 3))
+        kind = draw(st.integers(0, 5))
         if kind == 2:
             log.append(
                 TraceEvent(
@@ -165,18 +186,23 @@ def mixed_logs(draw):
                     address=0,
                 )
             )
-        else:
+        elif kind == 4:
             log.append(
                 TraceEvent(
                     timestamp=t,
                     thread_id=tid,
-                    optype=draw(
-                        st.sampled_from([OpType.READ, OpType.WRITE])
-                    ),
-                    name=draw(st.sampled_from(FIELDS)),
+                    optype=OpType.ENTER,
+                    name=draw(st.sampled_from(UNSAFE_APIS)),
                     address=draw(st.integers(1, 2)),
+                    meta={"unsafe_api": draw(st.sampled_from(["read", "write"]))},
                 )
             )
+        elif kind == 5:
+            for _ in range(draw(st.integers(2, 6))):
+                access(tid)
+                t += draw(st.floats(0.001, 0.01))
+        else:
+            access(tid)
     return log
 
 
@@ -211,4 +237,55 @@ def test_indexed_extraction_equals_allpairs_with_refinement(log, near):
     allpairs = AllPairsWindowExtractor(near=near, window_cap=5, refine=True)
     assert [_window_key(w) for w in indexed.extract(log)] == [
         _window_key(w) for w in allpairs.extract(log)
+    ]
+
+
+@given(
+    mixed_logs(),
+    st.floats(0.01, 2.0),
+    st.integers(1, 3),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_indexed_extraction_equals_allpairs_saturated_caps(
+    log, near, cap, api_list, refine
+):
+    """Caps of 1-3 saturate within a few windows, so the scan's
+    capped-endpoint skip fires often; bursts exercise its same-thread
+    jump.  Windows stay exactly the all-pairs oracle's, with and
+    without the unsafe-API list."""
+    kwargs = dict(
+        near=near, window_cap=cap, use_unsafe_api_list=api_list, refine=refine
+    )
+    indexed = WindowExtractor(**kwargs).extract(log)
+    allpairs = AllPairsWindowExtractor(**kwargs).extract(log)
+    assert [_window_key(w) for w in indexed] == [
+        _window_key(w) for w in allpairs
+    ]
+
+
+@pytest.mark.parametrize("cap", [2, 15])
+def test_indexed_extraction_equals_allpairs_on_scale_log(cap):
+    """One unit test's log of the scale benchmark's synthetic app, with
+    the app's true releases delayed so refinement runs too."""
+    from repro.apps.synth import SynthSpec, build_synth_app
+    from repro.core.observer import Observer
+    from repro.trace import Role
+
+    app = build_synth_app(
+        SynthSpec(app_id="Bench-Scale", pairs=4, fields_per_pair=16, episodes=8)
+    )
+    plan = {
+        sync.op: 0.1
+        for sync in app.ground_truth.syncs
+        if sync.role is Role.RELEASE
+    }
+    log = Observer(SherlockConfig()).observe_round(app, 1, plan)[0].log
+    assert log.delays
+    indexed = WindowExtractor(near=1.0, window_cap=cap).extract(log)
+    allpairs = AllPairsWindowExtractor(near=1.0, window_cap=cap).extract(log)
+    assert any(w.refined for w in indexed)
+    assert [_window_key(w) for w in indexed] == [
+        _window_key(w) for w in allpairs
     ]

@@ -13,11 +13,27 @@ exactly these windows: same order, same sides, same key order.
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.index import _is_write_access
-from repro.core.windows import PairKey, Window, WindowExtractor, _is_access
+from repro.core.windows import PairKey, Window, WindowExtractor
 from repro.trace.events import DelayInterval, TraceEvent
 from repro.trace.log import TraceLog
 from repro.trace.optypes import OpType
+
+
+def _is_access(event: TraceEvent) -> bool:
+    """Conflicting-access candidates: heap reads/writes, plus call sites of
+    thread-unsafe library APIs (the optional API list of §4.1)."""
+    if event.is_memory:
+        return True
+    return (
+        event.optype is OpType.ENTER
+        and event.meta.get("unsafe_api") in ("read", "write")
+    )
+
+
+def _is_write_access(event: TraceEvent) -> bool:
+    if event.is_memory:
+        return event.is_write
+    return event.meta.get("unsafe_api") == "write"
 
 
 def _accesses_conflict(a: TraceEvent, b: TraceEvent) -> bool:

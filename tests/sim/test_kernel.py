@@ -11,6 +11,8 @@ from repro.sim import (
     ThreadState,
     WaitSet,
 )
+from repro.sim.kernel import DelaySpec
+from repro.sim.methods import Method
 from repro.trace import OpRef, OpType, TraceLog
 
 
@@ -268,6 +270,78 @@ def test_delay_applies_per_dynamic_instance():
     kernel.spawn(body(), "t")
     kernel.run()
     assert len(kernel.delays) == 2
+
+
+def test_write_trigger_does_not_fire_on_read_of_same_field():
+    """``C::x`` passes the trigger-name prefilter on a read, but the
+    plan holds only ``write(C::x)``, so the read is not delayed."""
+    site = OpRef("C::x", OpType.WRITE)
+    kernel, rt, log = make_kernel(delay_plan={site: 0.1})
+    obj = rt.new_object("C", x=0)
+
+    def body():
+        yield from rt.read(obj, "x")
+        yield from rt.write(obj, "x", 1)
+
+    kernel.spawn(body(), "t")
+    kernel.run()
+    assert [d.site for d in kernel.delays] == [site]
+    read, write = log
+    assert read.optype is OpType.READ
+    assert read.timestamp < kernel.delays[0].start
+    assert write.timestamp >= kernel.delays[0].end - 1e-9
+
+
+def test_method_exit_release_fires_at_its_begin_trigger():
+    """A release ``end(m)`` is delayed before the call, ``begin(m)``."""
+    site = OpRef("C::m", OpType.EXIT)
+    trigger = OpRef("C::m", OpType.ENTER)
+    kernel, rt, log = make_kernel(
+        delay_plan={trigger: DelaySpec(duration=0.1, site=site)}
+    )
+
+    def body():
+        yield from rt.call(Method("C::m"))
+
+    kernel.spawn(body(), "t")
+    kernel.run()
+    assert len(kernel.delays) == 1
+    delay = kernel.delays[0]
+    assert delay.site == site
+    enter, exit_ = log
+    assert enter.optype is OpType.ENTER
+    assert enter.timestamp >= delay.end - 1e-9
+    assert exit_.timestamp > enter.timestamp
+
+
+def test_filter_sees_the_stamped_event_that_is_logged():
+    """The kernel builds each event once: the filter sees it stamped
+    with the log's run id and next ``seq``, and the kept ones are the
+    very objects in the log, densely numbered past dropped ones."""
+    seen = []
+
+    def keep_shown(event):
+        seen.append(event)
+        return event.name != "C::hidden"
+
+    log = TraceLog(run_id=4)
+    kernel = Kernel(seed=0, log=log, event_filter=keep_shown)
+    rt = Runtime(kernel)
+    obj = rt.new_object("C", hidden=0, shown=0)
+
+    def body():
+        for value in range(3):
+            yield from rt.write(obj, "shown", value)
+            yield from rt.write(obj, "hidden", value)
+
+    kernel.spawn(body(), "t")
+    kernel.run()
+    kept = [e for e in seen if e.name == "C::shown"]
+    assert len(seen) == 6
+    assert len(log) == 3
+    assert all(logged is event for logged, event in zip(log, kept))
+    assert [e.seq for e in log] == [0, 1, 2]
+    assert all(e.run_id == 4 for e in seen)
 
 
 def test_event_filter_drops_events():

@@ -109,6 +109,24 @@ class TestTraceLog:
         assert [e.seq for e in log] == [0, 1, 2, 3]
         assert all(e.run_id == 2 for e in log)
 
+    def test_append_keeps_a_stamped_event_and_restamps_others(self):
+        log = TraceLog(run_id=3)
+        stamped = TraceEvent(0.1, 1, OpType.WRITE, "C::x", 1, run_id=3, seq=0)
+        assert log.append(stamped) is stamped
+        # Stamped for another run, or at another position: re-stamped.
+        foreign = TraceEvent(0.2, 1, OpType.READ, "C::x", 1, run_id=9, seq=1)
+        misplaced = TraceEvent(0.3, 2, OpType.READ, "C::x", 1, run_id=3, seq=7)
+        for event in (foreign, misplaced):
+            stored = log.append(event)
+            assert stored is not event
+            assert stored == TraceEvent(
+                event.timestamp, event.thread_id, event.optype, event.name,
+                event.address, run_id=3, seq=log.events.index(stored),
+            )
+        assert [e.seq for e in log] == [0, 1, 2]
+        assert all(e.run_id == 3 for e in log)
+        assert log[0] is stamped
+
     def test_queries(self):
         log = self.make_log()
         assert log.threads() == (1, 2)
