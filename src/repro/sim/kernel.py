@@ -17,9 +17,10 @@ non-deterministic OS scheduler in the paper's setting and gives us:
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..trace.events import DelayInterval, TraceEvent
 from ..trace.log import TraceLog
@@ -68,6 +69,17 @@ class Kernel:
     each event already stamped with the log's ``run_id`` and next
     ``seq``; filters read only the event's ``meta`` (the observer drops
     ``hidden`` methods), and a dropped event leaves ``seq`` dense.
+
+    The scheduler loop is event-driven: no step scans ``threads``.
+    Every thread state change goes through :meth:`_set_state`, which
+    keeps three structures current — the RUNNABLE threads as a list in
+    creation (tid) order, the SLEEPING ones in a heap keyed by
+    ``(wake_at, tid)``, and a count of the BLOCKED ones.  The list is
+    exactly what a filtered scan of ``threads`` would give, so the
+    policy sees the same candidates and makes the same draws; the heap
+    top is the earliest ``wake_at``.  Whether the policy can defer at
+    all is decided once, here: the base :meth:`SchedulePolicy.defer`
+    never does and draws nothing, so it is not consulted.
     """
 
     def __init__(
@@ -93,6 +105,19 @@ class Kernel:
         self.event_filter = event_filter
         self.max_steps = max_steps
         self.threads: List[SimThread] = []
+        #: RUNNABLE threads in creation order (what ``policy.choose`` sees).
+        self._runnable: List[SimThread] = []
+        #: SLEEPING threads as ``(wake_at, tid, thread)``; tids are unique,
+        #: so the heap never compares threads.
+        self._sleepers: List[Tuple[float, int, SimThread]] = []
+        #: Number of BLOCKED threads.
+        self._blocked = 0
+        #: False when the policy keeps the base ``defer``, which never
+        #: defers: ``_maybe_defer`` then returns at once.
+        self._policy_defers = (
+            getattr(self.policy.defer, "__func__", None)
+            is not SchedulePolicy.defer
+        )
         self.steps = 0
         self.delays: List[DelayInterval] = []
         self._next_tid = 1
@@ -109,15 +134,43 @@ class Kernel:
         thread = SimThread(self._next_tid, body, name)
         self._next_tid += 1
         self.threads.append(thread)
+        # Born RUNNABLE with the largest tid so far: creation order holds.
+        self._runnable.append(thread)
         return thread
 
     def wake_all(self, waitset: WaitSet) -> None:
         """Move every waiter back to RUNNABLE (spurious-wakeup friendly)."""
         for thread in waitset.waiters:
             if thread.state is ThreadState.BLOCKED:
-                thread.state = ThreadState.RUNNABLE
+                self._set_state(thread, ThreadState.RUNNABLE)
                 thread.local_clock += self.clock - thread.park_start
         waitset.waiters.clear()
+
+    def _set_state(self, thread: SimThread, state: ThreadState) -> None:
+        """Change a live thread's state, keeping the runnable list, the
+        sleeper heap and the blocked count current.
+
+        A thread enters SLEEPING with its ``wake_at`` already set and
+        leaves it only through :meth:`_wake_sleepers`, which pops it.
+        """
+        old = thread.state
+        thread.state = state
+        if old is ThreadState.RUNNABLE:
+            self._runnable.remove(thread)
+        elif old is ThreadState.BLOCKED:
+            self._blocked -= 1
+        if state is ThreadState.RUNNABLE:
+            runnable = self._runnable
+            index = len(runnable)
+            while index and runnable[index - 1].tid > thread.tid:
+                index -= 1
+            runnable.insert(index, thread)
+        elif state is ThreadState.SLEEPING:
+            heapq.heappush(
+                self._sleepers, (thread.wake_at, thread.tid, thread)
+            )
+        elif state is ThreadState.BLOCKED:
+            self._blocked += 1
 
     # -- garbage collection / finalizers -------------------------------------------
 
@@ -152,25 +205,23 @@ class Kernel:
         Raises :class:`DeadlockError` when live threads remain but none can
         ever be woken, and :class:`StepLimitExceeded` on runaway loops.
         """
+        runnable = self._runnable
+        sleepers = self._sleepers
+        choose = self.policy.choose
         while True:
-            self._wake_sleepers()
-            runnable = [
-                t for t in self.threads if t.state is ThreadState.RUNNABLE
-            ]
+            if sleepers and sleepers[0][0] <= self.clock + 1e-12:
+                self._wake_sleepers()
             if not runnable:
-                sleepers = [
-                    t for t in self.threads if t.state is ThreadState.SLEEPING
-                ]
                 if sleepers:
-                    self.clock = min(t.wake_at for t in sleepers)
+                    self.clock = sleepers[0][0]
                     continue
-                blocked = [
-                    t for t in self.threads if t.state is ThreadState.BLOCKED
-                ]
-                if blocked:
-                    raise DeadlockError([repr(t) for t in blocked])
+                if self._blocked:
+                    raise DeadlockError([
+                        repr(t) for t in self.threads
+                        if t.state is ThreadState.BLOCKED
+                    ])
                 return  # all finished
-            thread = self.policy.choose(runnable, self.steps)
+            thread = choose(runnable, self.steps)
             self._step(thread)
             self.steps += 1
             if self.steps > self.max_steps:
@@ -179,15 +230,18 @@ class Kernel:
                 )
 
     def _wake_sleepers(self) -> None:
-        for thread in self.threads:
-            if (
-                thread.state is ThreadState.SLEEPING
-                and thread.wake_at <= self.clock + 1e-12
-            ):
-                thread.state = ThreadState.RUNNABLE
-                thread.local_clock += max(
-                    0.0, self.clock - thread.park_start
-                )
+        """Wake every sleeper due at the current clock.
+
+        They pop in ``(wake_at, tid)`` order; each wake-up touches only
+        its own thread's clock and lands at its tid's place in the
+        runnable list, so the order within one pass is unobservable.
+        """
+        sleepers = self._sleepers
+        due = self.clock + 1e-12
+        while sleepers and sleepers[0][0] <= due:
+            thread = heapq.heappop(sleepers)[2]
+            self._set_state(thread, ThreadState.RUNNABLE)
+            thread.local_clock += max(0.0, self.clock - thread.park_start)
 
     def _step(self, thread: SimThread) -> None:
         """Execute one syscall of ``thread``."""
@@ -213,7 +267,7 @@ class Kernel:
         self._dispatch(thread, syscall)
 
     def _finish(self, thread: SimThread, state: ThreadState) -> None:
-        thread.state = state
+        self._set_state(thread, state)
         self.wake_all(thread.done_waitset)
 
     # -- syscall dispatch -------------------------------------------------------------
@@ -248,12 +302,12 @@ class Kernel:
                 syscall.meta,
             )
         elif isinstance(syscall, SysSleep):
-            thread.state = ThreadState.SLEEPING
             thread.wake_at = self.clock + max(0.0, syscall.duration)
             thread.park_start = self.clock
+            self._set_state(thread, ThreadState.SLEEPING)
         elif isinstance(syscall, SysWait):
-            thread.state = ThreadState.BLOCKED
             thread.park_start = self.clock
+            self._set_state(thread, ThreadState.BLOCKED)
             syscall.waitset.add(thread)
         elif isinstance(syscall, SysSpawn):
             child = self.spawn(syscall.body, syscall.name)
@@ -290,11 +344,12 @@ class Kernel:
         achieve no reordering while silently burning the policy's
         one-shot deferral at this site — exactly the situation of a
         directed target whose toucher outlives its phaser quorum.
+
+        ``thread`` is the one being stepped, so it is on the runnable
+        list: another thread is runnable exactly when the list holds
+        two or more.
         """
-        if not any(
-            t is not thread and t.state is ThreadState.RUNNABLE
-            for t in self.threads
-        ):
+        if not self._policy_defers or len(self._runnable) < 2:
             return False
         if not self.policy.defer(thread, optype, name):
             return False
@@ -339,9 +394,9 @@ class Kernel:
             self.log.add_delay(interval)
         thread.pending = syscall
         thread.delay_paid = True
-        thread.state = ThreadState.SLEEPING
         thread.wake_at = self.clock + duration
         thread.park_start = self.clock
+        self._set_state(thread, ThreadState.SLEEPING)
         return True
 
     # -- event emission -------------------------------------------------------------------

@@ -55,6 +55,9 @@ class SchedulePolicy:
     def choose(
         self, runnable: Sequence[SimThread], step: int
     ) -> SimThread:  # pragma: no cover - interface
+        """Pick the thread to step from ``runnable`` (creation order,
+        never empty).  The sequence is the kernel's own live list: read
+        it, but neither modify it nor keep it past the call."""
         raise NotImplementedError
 
     def defer(self, thread: SimThread, optype: OpType, name: str) -> bool:

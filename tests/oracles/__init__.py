@@ -22,6 +22,10 @@ obviously-correct version of a fast path:
   (:func:`~repro.lp.revised.solve_revised`);
   :func:`dense_tableau_backend` registers it as the ``"dense-tableau"``
   LP backend for whole pipeline runs;
+* :class:`~tests.oracles.kernel.ScanKernel` — the scheduler loop that
+  scans every thread on every step, the reference for
+  :class:`~repro.sim.kernel.Kernel`'s runnable list, sleeper heap and
+  once-decided deferral check;
 * :func:`reference_paths` — makes the production
   :class:`~repro.core.pipeline.Sherlock` loop extract with the all-pairs
   oracle, and every production ``infer`` (each pipeline round, one-off
@@ -36,6 +40,7 @@ import pytest
 
 from .encoder import ReferenceEncoder, dense_standard_form
 from .encoder import build_model as reference_build_model
+from .kernel import ScanKernel
 from .sanitizer import LinearScanSanitizer
 from .simplex import solve_simplex
 from .windows import AllPairsWindowExtractor
@@ -83,6 +88,7 @@ __all__ = [
     "AllPairsWindowExtractor",
     "LinearScanSanitizer",
     "ReferenceEncoder",
+    "ScanKernel",
     "dense_tableau_backend",
     "reference_paths",
     "solve_simplex",

@@ -6,14 +6,15 @@ from repro.sim import (
     DeadlockError,
     Kernel,
     Runtime,
-    SimObject,
     StepLimitExceeded,
     ThreadState,
     WaitSet,
 )
 from repro.sim.kernel import DelaySpec
 from repro.sim.methods import Method
+from repro.sim.schedule import SchedulePolicy
 from repro.trace import OpRef, OpType, TraceLog
+from tests.oracles import ScanKernel
 
 
 def make_kernel(seed=0, **kwargs):
@@ -392,3 +393,173 @@ def test_spawn_returns_thread_and_join():
     kernel.spawn(parent(), "parent")
     kernel.run()
     assert [e.thread_id for e in log] == [2, 1]
+
+
+def test_delayed_thread_wakes_in_the_same_pass_as_an_equal_sleeper():
+    """An injected delay and a plain sleep park two threads in
+    consecutive steps at clock 0 (neither advances the clock), so both
+    are due at the same instant.  One wake pass frees both, each thread
+    is charged only its own park time, and they resume in tid order's
+    runnable list exactly as the scanning scheduler would."""
+    site = OpRef("C::x", OpType.WRITE)
+
+    def run(kernel_cls):
+        log = TraceLog(run_id=0)
+        kernel = kernel_cls(seed=2, log=log, delay_plan={site: 0.01})
+        rt = Runtime(kernel)
+        obj = rt.new_object("C", x=0, y=0)
+
+        def delayed():
+            yield from rt.write(obj, "x", 1)
+
+        def sleeper():
+            yield from rt.sleep(0.01)
+            yield from rt.write(obj, "y", 1)
+
+        kernel.spawn(delayed(), "delayed")
+        kernel.spawn(sleeper(), "sleeper")
+        kernel.run()
+        return kernel, log
+
+    kernel, log = run(Kernel)
+    (delay,) = kernel.delays
+    assert delay.start == 0.0 and delay.end == 0.01
+    # The clock jumps straight to the shared instant and the first write
+    # runs there; each thread was charged exactly its own 0.01 s park.
+    assert sorted(e.name for e in log) == ["C::x", "C::y"]
+    assert log[0].timestamp == 0.01 < log[1].timestamp
+    assert [e.local_time for e in log] == [0.01, 0.01]
+    oracle, oracle_log = run(ScanKernel)
+    assert [
+        (e.thread_id, e.name, e.timestamp, e.local_time) for e in log
+    ] == [
+        (e.thread_id, e.name, e.timestamp, e.local_time) for e in oracle_log
+    ]
+    assert kernel.steps == oracle.steps
+
+
+class _FirstRunnable(SchedulePolicy):
+    spec = "first-runnable"
+
+    def choose(self, runnable, step):
+        return runnable[0]
+
+
+class _AskOncePolicy(_FirstRunnable):
+    """Steps the first runnable thread; defers each (thread, field) once
+    and records every consult, so a test sees whether the kernel asked."""
+
+    spec = "ask-once"
+
+    def __init__(self):
+        self.asked = []
+
+    def defer(self, thread, optype, name):
+        self.asked.append((thread.tid, name))
+        return self.asked.count((thread.tid, name)) == 1
+
+
+@pytest.mark.parametrize("kernel_cls", [Kernel, ScanKernel])
+def test_deferral_sees_the_thread_woken_this_step(kernel_cls):
+    """The toucher's target write is dispatched in the very step whose
+    wake pass freed the sleeper: that sleeper is the only other runnable
+    thread, and it must count, so the policy is consulted."""
+    policy = _AskOncePolicy()
+    log = TraceLog(run_id=0)
+    kernel = kernel_cls(seed=0, log=log, schedule_policy=policy)
+    rt = Runtime(kernel)
+    obj = rt.new_object("D", x=0, y=0)
+
+    def toucher():
+        while kernel.clock + 1e-12 < 0.01:
+            yield from rt.sched_yield()
+        yield from rt.write(obj, "x", 1)
+
+    def sleeper():
+        yield from rt.sleep(0.01)
+        yield from rt.write(obj, "y", 1)
+
+    kernel.spawn(toucher(), "toucher")
+    kernel.spawn(sleeper(), "sleeper")
+    kernel.run()
+    # Asked once (deferred), then again on re-dispatch (proceeds).
+    assert policy.asked == [(1, "D::x"), (1, "D::x")]
+    assert [e.name for e in log] == ["D::x", "D::y"]
+
+
+@pytest.mark.parametrize("kernel_cls", [Kernel, ScanKernel])
+def test_deferral_not_asked_while_the_sleeper_still_sleeps(kernel_cls):
+    """Contrast: the same write one wake-up too early finds no other
+    runnable thread, so the policy is never consulted."""
+    policy = _AskOncePolicy()
+    kernel = kernel_cls(seed=0, log=TraceLog(), schedule_policy=policy)
+    rt = Runtime(kernel)
+    obj = rt.new_object("D", x=0)
+
+    def toucher():
+        yield from rt.write(obj, "x", 1)
+
+    def sleeper():
+        yield from rt.sleep(0.01)
+
+    kernel.spawn(sleeper(), "sleeper")
+    kernel.spawn(toucher(), "toucher")
+    kernel.run()
+    assert policy.asked == []
+
+
+@pytest.mark.parametrize("kernel_cls", [Kernel, ScanKernel])
+def test_deadlock_message_lists_blocked_threads_in_creation_order(
+    kernel_cls,
+):
+    """Threads block in the order #3, #2, #1; the error still lists
+    them by tid."""
+    kernel = kernel_cls(seed=0, log=TraceLog())
+    rt = Runtime(kernel)
+    never = WaitSet("never")
+
+    def block_after(delay):
+        def body():
+            if delay:
+                yield from rt.sleep(delay)
+            yield from rt.wait_on(never)
+
+        return body()
+
+    kernel.spawn(block_after(0.02), "late")
+    kernel.spawn(block_after(0.01), "middle")
+    kernel.spawn(block_after(0.0), "early")
+    with pytest.raises(DeadlockError) as info:
+        kernel.run()
+    assert str(info.value) == (
+        "deadlock: all live threads blocked: "
+        "SimThread(#1 'late' blocked), "
+        "SimThread(#2 'middle' blocked), "
+        "SimThread(#3 'early' blocked)"
+    )
+
+
+@pytest.mark.parametrize("kernel_cls", [Kernel, ScanKernel])
+def test_sleepers_a_rounding_error_apart_wake_together(kernel_cls):
+    """#1 sleeps 0.1 then 0.2 (due at 0.30000000000000004), #2 sleeps
+    0.3: the clock jumps to 0.3 and the 1e-12 tolerance wakes both, so
+    #1, first in creation order, writes at exactly 0.3."""
+    log = TraceLog()
+    kernel = kernel_cls(seed=0, log=log, schedule_policy=_FirstRunnable())
+    rt = Runtime(kernel)
+    obj = rt.new_object("C", x=0, y=0)
+
+    def two_naps():
+        yield from rt.sleep(0.1)
+        yield from rt.sleep(0.2)
+        yield from rt.write(obj, "x", 1)
+
+    def one_nap():
+        yield from rt.sleep(0.3)
+        yield from rt.write(obj, "y", 1)
+
+    kernel.spawn(two_naps(), "two-naps")
+    kernel.spawn(one_nap(), "one-nap")
+    kernel.run()
+    assert 0.1 + 0.2 > 0.3
+    assert [(e.thread_id, e.timestamp) for e in log][0] == (1, 0.3)
