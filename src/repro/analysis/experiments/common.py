@@ -1,7 +1,7 @@
 """Shared helpers for the experiment regenerators.
 
 All tables and figures run applications through one shared
-:class:`~repro.runtime.engine.ExecutionRuntime`, so a ``--workers``/
+:class:`~repro.runtime.engine.ExecutionRuntime`, so an ``--engine``/
 ``--cache`` choice made once (e.g. on the CLI) parallelizes and memoizes
 every regenerator, and sweeps that reuse a ``(app, seed, delay plan)``
 combination never re-execute its traces.

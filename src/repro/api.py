@@ -58,18 +58,6 @@ def _resolve_app(app_or_id: Union[Application, str]) -> Application:
     )
 
 
-def _config_engine_spec(
-    engine: RunEngineSpec, config: Optional[SherlockConfig]
-) -> Union[str, Engine]:
-    """The engine spec to build a runtime from: the explicit ``engine=``
-    argument, else ``config.engine``."""
-    if engine is not None:
-        return engine  # type: ignore[return-value]  (never a runtime here)
-    if config is not None:
-        return config.engine
-    return "auto"
-
-
 def run(
     app_or_id: Union[Application, str],
     config: Optional[SherlockConfig] = None,
@@ -99,8 +87,7 @@ def run(
         ``"process[:N]"`` (process pool), a live
         :class:`~repro.runtime.engines.Engine`, or a pre-built
         :class:`ExecutionRuntime` (used as-is and kept open; its cache
-        wins over ``cache=``).  ``None`` falls back to
-        ``config.engine``.
+        wins over ``cache=``).  ``None`` means serial.
     cache:
         ``True`` / ``"memory"`` / a directory path / a
         :class:`TraceCache` to memoize observed rounds; ``None``
@@ -109,8 +96,7 @@ def run(
     app = _resolve_app(app_or_id)
     if isinstance(engine, ExecutionRuntime):
         return Sherlock(app, config, runtime=engine).run(rounds=rounds)
-    spec = _config_engine_spec(engine, config)
-    with ExecutionRuntime(engine=spec, cache=coerce_cache(cache)) as rt:
+    with ExecutionRuntime(engine=engine, cache=coerce_cache(cache)) as rt:
         return Sherlock(app, config, runtime=rt).run(rounds=rounds)
 
 
@@ -134,8 +120,7 @@ async def arun(
         return await Sherlock(app, config, runtime=engine).arun(
             rounds=rounds
         )
-    spec = _config_engine_spec(engine, config)
-    rt = ExecutionRuntime(engine=spec, cache=coerce_cache(cache))
+    rt = ExecutionRuntime(engine=engine, cache=coerce_cache(cache))
     try:
         return await Sherlock(app, config, runtime=rt).arun(rounds=rounds)
     finally:
@@ -198,7 +183,6 @@ def convert_predictions(
     policy: str = "random",
     targets: Optional[dict] = None,
     engine: Optional[str] = None,
-    workers: int = 1,
 ):
     """Directed schedule search over predicted-only races.
 
@@ -214,6 +198,8 @@ def convert_predictions(
     ``targets`` optionally maps app ids to explicit target lists (the
     shape ``CampaignReport.schedule_targets()`` returns); apps not
     listed derive targets from their own prediction baseline.
+    ``engine`` is a spec string (``"serial"`` | ``"process[:N]"``);
+    ``None`` means serial.
     """
     from .predict.convert import ConvertConfig, run_conversion
 
@@ -228,7 +214,6 @@ def convert_predictions(
         rounds=rounds,
         policy=policy,
         specs=specs,
-        workers=workers,
         engine=engine,
         targets=targets,
     )

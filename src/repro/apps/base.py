@@ -24,14 +24,11 @@ from __future__ import annotations
 
 from ..sim.methods import Method
 from ..sim.program import (
-    AppContext,
     AppInfo,
-    Application,
     GroundTruth,
     KIND_API,
     KIND_METHOD,
     KIND_VARIABLE,
-    UnitTest,
 )
 from ..trace.optypes import Role, begin_of, end_of, read_of, write_of
 

@@ -66,7 +66,7 @@ from .apps.registry import (
 )
 from .core import SherlockConfig
 from .racedet import detect_races, manual_spec, sherlock_spec
-from .runtime import DEFAULT_CACHE_DIR, ExecutionRuntime
+from .runtime import DEFAULT_CACHE_DIR, ExecutionRuntime, parse_engine_spec
 from .sim.schedule import build_policy, policy_names
 
 _TABLES = {
@@ -98,6 +98,16 @@ def _policy_spec(value: str) -> str:
     return value
 
 
+def _engine_spec(value: str) -> str:
+    """Validate an engine spec string (``--engine``): ``serial`` or
+    ``process[:N]``."""
+    try:
+        parse_engine_spec(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return value
+
+
 def _add_shared_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     """Options valid both before and after the subcommand.
 
@@ -118,14 +128,10 @@ def _add_shared_options(parser: argparse.ArgumentParser, suppress: bool) -> None
         help="comma-separated app ids to restrict to (default: all 8)",
     )
     parser.add_argument(
-        "--workers", type=int, default=default(1),
-        help="worker processes for test execution (default 1 = serial)",
-    )
-    parser.add_argument(
-        "--engine", choices=["serial", "process"],
-        default=default(None),
-        help="execution engine (default: serial, or a process pool when "
-        "--workers > 1); --workers sizes the process pool",
+        "--engine", type=_engine_spec, default=default(None),
+        metavar="SPEC",
+        help="execution engine: serial (default) or process[:N], a pool "
+        "of N worker processes (default N: the CPU count)",
     )
     parser.add_argument(
         "--cache", nargs="?", const=DEFAULT_CACHE_DIR, default=default(None),
@@ -345,7 +351,6 @@ def _cmd_fuzz(args, runtime: ExecutionRuntime) -> int:
         base_seed=args.seed,
         rounds=args.rounds,
         policy=args.policy,
-        workers=args.workers,
         engine=args.engine,
         replay_every=args.replay_every,
         oracles=not args.no_oracles,
@@ -371,7 +376,6 @@ def _convert_followup(args, runtime, apps, targets=None, specs=("manual",)):
         base_seed=args.seed,
         rounds=args.rounds,
         specs=tuple(specs),
-        workers=args.workers,
         engine=args.engine,
         targets=targets or None,
     )
@@ -395,7 +399,6 @@ def _cmd_predict(args, runtime: ExecutionRuntime) -> int:
         rounds=args.rounds,
         policy=args.policy,
         specs=specs,
-        workers=args.workers,
         engine=args.engine,
     )
     report = run_power_sweep(config, runtime=runtime)
@@ -425,7 +428,6 @@ def _cmd_convert(args, runtime: ExecutionRuntime) -> int:
         rounds=args.rounds,
         policy=args.policy,
         specs=specs,
-        workers=args.workers,
         engine=args.engine,
     )
     report = run_conversion(config, runtime=runtime)
@@ -462,9 +464,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         return 0
     with ExecutionRuntime(
-        workers=args.workers,
-        cache=coerce_cache(args.cache),
-        engine=args.engine,
+        engine=args.engine, cache=coerce_cache(args.cache)
     ) as runtime:
         # Experiment regenerators pick this runtime up via run_all().
         common.set_default_runtime(runtime)

@@ -32,11 +32,6 @@ class SherlockConfig:
     #: other log, so already-encoded windows never retroactively fall
     #: out of the cap.
     window_cap: int = 15
-    #: Scope of ``window_cap``.  Only ``"per-log"`` is supported; the
-    #: field exists so cross-round/cross-run cap semantics are an
-    #: explicit, validated choice rather than an ambiguity (requesting
-    #: an unimplemented scope fails at construction).
-    window_cap_scope: str = "per-log"
 
     # -- Solver (§4.2) -------------------------------------------------------
     #: Trade-off between Mostly-Protected and all other hypotheses (Eq. 8).
@@ -64,12 +59,6 @@ class SherlockConfig:
     #: Kernel scheduling-policy spec: "random" (uniform, the default) or
     #: "pct"/"pct:<change-prob>" (priority-based schedule exploration).
     schedule_policy: str = "random"
-    #: Execution-engine spec used when no runtime/engine is supplied at
-    #: the call site: "auto" (serial) | "serial" | "process[:N]".
-    #: Execution-only: engines never change results (byte-identical
-    #: reports), so this is not part of trace-cache keys or serialized
-    #: reports.
-    engine: str = "auto"
 
     # -- hypothesis & property toggles (Table 5) -----------------------------------
     hyp_mostly_protected: bool = True
@@ -108,13 +97,6 @@ class SherlockConfig:
             raise ValueError("near must be positive")
         if self.window_cap < 1:
             raise ValueError("window_cap must be >= 1")
-        if self.window_cap_scope != "per-log":
-            raise ValueError(
-                f"window_cap_scope {self.window_cap_scope!r} is not "
-                "supported: the cap is applied per trace log (see the "
-                "window_cap field docs); cross-round or cross-run caps "
-                "would retroactively invalidate already-encoded windows"
-            )
         if self.backend not in available_backends():
             raise ValueError(
                 f"unknown LP backend {self.backend!r}; choose from "
@@ -129,10 +111,6 @@ class SherlockConfig:
         if self.delay < 0:
             raise ValueError("delay must be non-negative")
         build_policy(self.schedule_policy)  # raises ValueError when unknown
-        # Deferred import: runtime.engines itself imports core modules.
-        from ..runtime.engines import validate_engine_spec
-
-        validate_engine_spec(self.engine)  # raises ValueError when unknown
 
 
 #: Ablation settings used by Table 5, keyed by the paper's row labels.

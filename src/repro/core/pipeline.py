@@ -7,9 +7,9 @@ next round's delay plan.  No delay is injected in the first round.
 
 Test execution is delegated to an
 :class:`~repro.runtime.engine.ExecutionRuntime`, which may fan tests out
-across a process pool (``config.engine``) and/or replay rounds from a
-trace cache; the default runtime is serial and cache-less.  The
-pipeline itself is asyncio-native — :meth:`Sherlock.arun` is the
+across a process pool and/or replay rounds from a trace cache.  Pass
+one as ``Sherlock(runtime=...)``; without one the runtime is serial and
+cache-less.  The pipeline itself is asyncio-native — :meth:`Sherlock.arun` is the
 implementation, :meth:`Sherlock.run` a synchronous façade over it — and
 each round runs inside one :func:`~repro.metrics.recording`, whose
 :class:`~repro.metrics.RunMetrics` (per-phase timings, cache, LP and
@@ -108,7 +108,7 @@ class Sherlock:
         self.app = app
         self.config = config or SherlockConfig()
         self.config.validate()
-        self.runtime = runtime or ExecutionRuntime(engine=self.config.engine)
+        self.runtime = runtime or ExecutionRuntime()
         self.observer = Observer(self.config)
         #: Called with ``(round_index, executions)`` after each observed
         #: round — the hook ``repro.fuzz`` uses to sanitize raw traces

@@ -11,7 +11,7 @@ replay determinism, λ-stability).
 
 Entry points::
 
-    python -m repro fuzz --app app7_statsd --schedules 50 --workers 4
+    python -m repro fuzz --app app7_statsd --schedules 50 --engine process:4
     report = repro.fuzz.run_campaign(CampaignConfig(app_ids=["App-7"]))
 """
 

@@ -5,8 +5,8 @@ is one full Observer → Solver → Perturber pipeline run under a distinct
 ``(seed, policy)``, with every observed trace fed through the
 :mod:`~repro.fuzz.sanitizer` and the final report through the
 :mod:`~repro.fuzz.oracles`.  Schedules fan out across an
-:class:`~repro.runtime.engine.ExecutionRuntime` engine (``workers`` /
-``engine``), and a *permutation pass* re-executes a sample of
+:class:`~repro.runtime.engine.ExecutionRuntime` engine (``engine``),
+and a *permutation pass* re-executes a sample of
 schedules in reverse order afterwards, checking that trace digests and
 serialized reports come back byte-identical (runs must not leak state
 into each other, and report content must not depend on campaign order).
@@ -25,6 +25,7 @@ from ..core.config import SherlockConfig
 from ..core.pipeline import Sherlock
 from ..core.serialize import report_to_dict
 from ..runtime.engine import ExecutionRuntime
+from ..runtime.engines import parse_engine_spec
 from ..sim.runner import TestExecution
 from .oracles import (
     OracleResult,
@@ -50,10 +51,9 @@ class CampaignConfig:
     #: only converges on true syncs after the third round's feedback).
     rounds: int = 3
     policy: str = "random"
-    workers: int = 1
     #: Execution-engine spec for the schedule fan-out ("serial" |
-    #: "process[:N]"); ``None`` derives from ``workers``
-    #: (process pool when > 1).  ``workers`` sizes an unsized spec.
+    #: "process[:N]"; ``None`` means serial).  Ignored when the caller
+    #: passes its own runtime.
     engine: Optional[str] = None
     #: λ-stability probe half-width (±fraction of config.lam).  ±1% is
     #: the empirically stable band across all 8 apps at rounds=3; App-4
@@ -72,16 +72,12 @@ class CampaignConfig:
             raise ValueError("schedules must be >= 1")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.replay_every < 0:
             raise ValueError("replay_every must be >= 0")
         if not self.app_ids:
             raise ValueError("campaign needs at least one app id")
         if self.engine is not None:
-            from ..runtime.engines import validate_engine_spec
-
-            validate_engine_spec(self.engine)
+            parse_engine_spec(self.engine)
         # Resolves aliases eagerly so typos fail before any execution
         # (result discarded: resolution itself happens in resolved()).
         for app_id in self.app_ids:
@@ -188,6 +184,9 @@ class CampaignReport:
     )
     permutation_sampled: int = 0
     elapsed_s: float = 0.0
+    #: Spec of the engine that ran the jobs (e.g. ``"process:4"``),
+    #: taken from the runtime, not from the config.
+    engine: str = "serial"
 
     # -- aggregate views -----------------------------------------------------
 
@@ -270,7 +269,7 @@ class CampaignReport:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "campaign": asdict(self.config),
+            "campaign": {**asdict(self.config), "engine": self.engine},
             "totals": {
                 "schedules": len(self.results),
                 "violations": self.total_violations,
@@ -292,8 +291,7 @@ class CampaignReport:
             f"fuzz campaign: {len(self.results)} schedules over "
             f"{len(self.config.app_ids)} app(s), policy="
             f"{self.config.policy}, rounds={self.config.rounds}, "
-            f"workers={self.config.workers}, "
-            f"engine={self.config.engine or 'auto'}"
+            f"engine={self.engine}"
         ]
         for app_id, row in self.per_app().items():
             lines.append(
@@ -342,9 +340,7 @@ def run_campaign(
     ]
 
     owned = runtime is None
-    rt = runtime or ExecutionRuntime(
-        workers=config.workers, engine=config.engine
-    )
+    rt = runtime or ExecutionRuntime(engine=config.engine)
     try:
         results = rt.map_jobs(run_schedule_job, jobs)
         # Permutation pass: replay a sample in reverse order; equivalent
@@ -381,6 +377,7 @@ def run_campaign(
         permutation_mismatches=mismatches,
         permutation_sampled=len(sample),
         elapsed_s=time.perf_counter() - t_start,
+        engine=rt.engine.spec,
     )
 
 

@@ -52,7 +52,7 @@ materializes a dense ``m × m`` basis.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 

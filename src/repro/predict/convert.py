@@ -45,9 +45,10 @@ from ..racedet.annotations import manual_spec, sherlock_spec
 from ..racedet.fasttrack import analyze_run
 from ..racedet.spec import HappensBeforeSpec
 from ..runtime.engine import ExecutionRuntime
+from ..runtime.engines import parse_engine_spec
 from ..sim.runner import RunOptions, run_application
 from ..sim.schedule import directed_spec, parse_target
-from .harness import predict_app, predictive_name
+from .harness import predict_app
 
 #: One baseline job: (app_id, kernel_seed, rounds, policy, spec_kind).
 BaselineJob = Tuple[str, int, int, str, str]
@@ -234,7 +235,9 @@ class ConvertConfig:
     #: Schedule policy of the observed baseline run.
     policy: str = "random"
     specs: Tuple[str, ...] = ("manual",)
-    workers: int = 1
+    #: Execution-engine spec for the job fan-out ("serial" |
+    #: "process[:N]"; ``None`` means serial).  Ignored when the caller
+    #: passes its own runtime.
     engine: Optional[str] = None
     #: Explicit targets per app id (e.g. from
     #: ``CampaignReport.schedule_targets()``); apps not listed derive
@@ -248,17 +251,13 @@ class ConvertConfig:
             raise ValueError("schedules must be >= 1")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if not self.app_ids:
             raise ValueError("conversion needs at least one app id")
         for kind in self.specs:
             if kind not in ("manual", "sherlock"):
                 raise ValueError(f"unknown spec kind {kind!r}")
         if self.engine is not None:
-            from ..runtime.engines import validate_engine_spec
-
-            validate_engine_spec(self.engine)
+            parse_engine_spec(self.engine)
         for app_id in self.app_ids:
             resolve_app_id(app_id)
         for targets in (self.targets or {}).values():
@@ -327,6 +326,9 @@ class ConvertReport:
     rows: List[ConvertRow]
     metrics: RunMetrics = field(default_factory=RunMetrics)
     elapsed_s: float = 0.0
+    #: Spec of the engine that ran the jobs (e.g. ``"process:4"``),
+    #: taken from the runtime, not from the config.
+    engine: str = "serial"
 
     @property
     def total_targets(self) -> int:
@@ -421,8 +423,7 @@ class ConvertReport:
                 "rounds": self.config.rounds,
                 "policy": self.config.policy,
                 "specs": list(self.config.specs),
-                "workers": self.config.workers,
-                "engine": self.config.engine,
+                "engine": self.engine,
                 "targets": self.config.targets,
             },
             "totals": {
@@ -456,9 +457,7 @@ def run_conversion(
         for kind in config.specs
     ]
     owned = runtime is None
-    rt = runtime or ExecutionRuntime(
-        workers=config.workers, engine=config.engine
-    )
+    rt = runtime or ExecutionRuntime(engine=config.engine)
     try:
         baselines = rt.map_jobs(run_baseline_job, baseline_jobs)
         targets_of: Dict[Tuple[str, str], List[str]] = {}
@@ -517,12 +516,13 @@ def run_conversion(
         config=config,
         rows=rows,
         elapsed_s=time.perf_counter() - t_start,
+        engine=rt.engine.spec,
     )
     report.metrics.convert_targets = report.total_targets
     report.metrics.convert_converted = report.total_converted
     report.metrics.convert_flagged = report.total_flagged
     report.metrics.convert_runs = len(runs)
-    report.metrics.workers = config.workers
+    report.metrics.workers = rt.engine.concurrency
     return report
 
 

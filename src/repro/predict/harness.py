@@ -34,6 +34,7 @@ from ..racedet.annotations import manual_spec, sherlock_spec
 from ..racedet.fasttrack import RaceReport, analyze_run
 from ..racedet.spec import HappensBeforeSpec
 from ..runtime.engine import ExecutionRuntime
+from ..runtime.engines import parse_engine_spec
 from ..sim.program import Application
 from ..sim.runner import RunOptions, run_application
 from ..tsvd.detector import run_tsvd
@@ -234,7 +235,9 @@ class PowerConfig:
     rounds: int = 3
     policy: str = "random"
     specs: Tuple[str, ...] = ("manual", "sherlock")
-    workers: int = 1
+    #: Execution-engine spec for the job fan-out ("serial" |
+    #: "process[:N]"; ``None`` means serial).  Ignored when the caller
+    #: passes its own runtime.
     engine: Optional[str] = None
 
     def validate(self) -> None:
@@ -249,9 +252,7 @@ class PowerConfig:
             if kind not in ("manual", "sherlock"):
                 raise ValueError(f"unknown spec kind {kind!r}")
         if self.engine is not None:
-            from ..runtime.engines import validate_engine_spec
-
-            validate_engine_spec(self.engine)
+            parse_engine_spec(self.engine)
         for app_id in self.app_ids:
             resolve_app_id(app_id)
         SherlockConfig(schedule_policy=self.policy)  # spec check
@@ -271,6 +272,9 @@ class PowerReport:
     config: PowerConfig
     rows: List[PowerRow]
     elapsed_s: float = 0.0
+    #: Spec of the engine that ran the jobs (e.g. ``"process:4"``),
+    #: taken from the runtime, not from the config.
+    engine: str = "serial"
 
     @property
     def all_supersets_ok(self) -> bool:
@@ -337,8 +341,7 @@ class PowerReport:
                 "rounds": self.config.rounds,
                 "policy": self.config.policy,
                 "specs": list(self.config.specs),
-                "workers": self.config.workers,
-                "engine": self.config.engine,
+                "engine": self.engine,
             },
             "totals": {
                 "jobs": len(self.rows),
@@ -366,9 +369,7 @@ def run_power_sweep(
         for i in range(config.schedules)
     ]
     owned = runtime is None
-    rt = runtime or ExecutionRuntime(
-        workers=config.workers, engine=config.engine
-    )
+    rt = runtime or ExecutionRuntime(engine=config.engine)
     try:
         rows = rt.map_jobs(run_predict_job, jobs)
     finally:
@@ -378,6 +379,7 @@ def run_power_sweep(
         config=config,
         rows=rows,
         elapsed_s=time.perf_counter() - t_start,
+        engine=rt.engine.spec,
     )
 
 

@@ -3,11 +3,11 @@
 The runtime layer sits between the SherLock pipeline and the simulator:
 
 * :class:`ExecutionRuntime` — consults a trace cache, then delegates
-  round execution to a pluggable engine; sync and async surfaces;
-* :class:`Engine` — the synchronous engine interface (its base class
-  bridges ``aexecute_round`` to a worker thread once), with
-  :class:`SerialEngine` / :class:`ProcessEngine` implementations
-  (``engine="serial" | "process"``);
+  round execution to a pluggable engine; one round body
+  (``observe_round``), which ``aobserve_round`` runs in a worker thread;
+* :class:`Engine` — the synchronous engine interface, with
+  :class:`SerialEngine` / :class:`ProcessEngine` implementations chosen
+  by an engine spec (``engine=None | "serial" | "process[:N]"``);
 * :class:`TraceCache` — content-addressed memoization of observed rounds
   (in-memory LRU + optional on-disk JSON store under ``.repro_cache/``);
 * :class:`RunMetrics` — per-phase timings and cache/LP/engine counters
@@ -36,7 +36,6 @@ from .engines import (
     coerce_engine,
     execute_test_payload,
     parse_engine_spec,
-    validate_engine_spec,
 )
 from ..metrics import RunMetrics
 
@@ -57,5 +56,4 @@ __all__ = [
     "parse_engine_spec",
     "round_key",
     "thaw_delay_plan",
-    "validate_engine_spec",
 ]

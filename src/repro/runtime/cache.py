@@ -16,7 +16,6 @@ ablation sweep over solver settings reuses one set of traces.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import json
 import os
@@ -209,17 +208,6 @@ class TraceCache:
         """
         self._remember(key, _clone_executions(executions))
         self._write_disk(key, executions)
-
-    async def aget(self, key: str) -> Optional[List[TestExecution]]:
-        """Async :meth:`get`: disk reads run in a worker thread so the
-        event loop stays free (LRU hits short-circuit without one)."""
-        if key in self._lru:
-            return self.get(key)
-        return await asyncio.to_thread(self.get, key)
-
-    async def aput(self, key: str, executions: List[TestExecution]) -> None:
-        """Async :meth:`put`: serialization + disk write off the loop."""
-        await asyncio.to_thread(self.put, key, executions)
 
     def stats(self) -> Dict[str, int]:
         return {

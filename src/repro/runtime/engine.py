@@ -13,15 +13,17 @@ produced, never what is inferred — serial, process, and cached runs
 yield byte-identical serialized reports (see
 :mod:`repro.runtime.engines`).
 
-:meth:`~ExecutionRuntime.aobserve_round` is what the pipeline awaits
-each round; it keeps both cache disk I/O and the engine's work off the
-event loop.  :meth:`~ExecutionRuntime.observe_round` and
-:meth:`~ExecutionRuntime.map_jobs` are its synchronous counterparts for
-callers without a loop (the fuzz, predict and convert fan-outs).
+:meth:`~ExecutionRuntime.observe_round` is the one round body.  The
+pipeline awaits :meth:`~ExecutionRuntime.aobserve_round`, which runs
+that body in a worker thread so cache disk I/O and the engine's work
+stay off the event loop.  :meth:`~ExecutionRuntime.map_jobs` fans out
+whole jobs for callers without a loop (the fuzz, predict and convert
+fan-outs).
 """
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional
 
@@ -30,7 +32,6 @@ from ..sim.program import Application
 from ..sim.runner import TestExecution
 from .cache import DelayPlan, TraceCache, round_key
 from .engines import (
-    Engine,
     EngineSpec,
     coerce_engine,
     execute_test_payload,  # noqa: F401  (re-export: worker entry point)
@@ -71,20 +72,13 @@ class ExecutionRuntime:
 
     def __init__(
         self,
-        workers: int = 1,
-        cache: Optional[TraceCache] = None,
+        *,
         engine: EngineSpec = None,
+        cache: Optional[TraceCache] = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.engine = coerce_engine(engine, default_workers=workers)
+        self.engine = coerce_engine(engine)
         self.cache = cache
         self._closed = False
-
-    @property
-    def workers(self) -> int:
-        """Concurrency of the underlying engine (compat alias)."""
-        return self.engine.concurrency
 
     @property
     def closed(self) -> bool:
@@ -124,24 +118,16 @@ class ExecutionRuntime:
         round_index: int,
         delay_plan: Optional[DelayPlan] = None,
     ) -> ObserveOutcome:
-        """Async :meth:`observe_round`: cache disk I/O and the round's
-        execution both happen off the event loop."""
-        self._check_open()
-        plan = dict(delay_plan or {})
-        key = self.round_key(app.app_id, config, round_index, plan)
-        if self.cache is not None:
-            cached = await self.cache.aget(key)
-            if cached is not None:
-                return ObserveOutcome(cached, cache_hit=True, engine="cache")
+        """:meth:`observe_round` in a worker thread, so the caller's
+        event loop keeps running during the round (cache disk I/O
+        included).  ``asyncio.to_thread`` copies the context, so counts
+        the round records land in the caller's
+        :func:`~repro.metrics.recording`; a cancel or interrupt at the
+        await still tears the engine down."""
         with self._teardown_on_interrupt():
-            executions, workers_used = await self.engine.aexecute_round(
-                app, config, round_index, plan
+            return await asyncio.to_thread(
+                self.observe_round, app, config, round_index, delay_plan
             )
-        if self.cache is not None:
-            await self.cache.aput(key, executions)
-        return ObserveOutcome(
-            executions, workers_used=workers_used, engine=self.engine.name
-        )
 
     @staticmethod
     def round_key(

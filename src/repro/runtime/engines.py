@@ -19,15 +19,16 @@ one test's trace and never serializes them).
 
 The interface is synchronous (``execute_round`` / ``map_jobs``): the
 simulator is CPU-bound pure Python, so running jobs as asyncio tasks
-buys nothing under the GIL.  The base class bridges the one async
-method the pipeline awaits, ``aexecute_round``, by running
-``execute_round`` in a worker thread, which keeps the caller's event
-loop free for the duration of a round.
+buys nothing under the GIL.  The one async surface is
+:meth:`~repro.runtime.engine.ExecutionRuntime.aobserve_round`, which
+runs the runtime's synchronous round in a worker thread.
+
+An engine is chosen by a spec: ``None`` or ``"serial"``, or
+``"process[:N]"`` (an unsized pool takes ``os.cpu_count()`` workers).
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 import warnings
 from abc import ABC, abstractmethod
@@ -59,8 +60,8 @@ WorkerPayload = Tuple[str, Dict[str, Any], int, FrozenPlan, str]
 #: What an engine returns for one executed round.
 RoundExecutions = Tuple[List[TestExecution], int]
 
-#: Accepted ``engine=`` specs: ``None``/"auto" (pick for me), a spec
-#: string ("serial" | "process[:N]"), or an Engine.
+#: Accepted ``engine=`` specs: ``None`` (serial), a spec string
+#: ("serial" | "process[:N]"), or an Engine.
 EngineSpec = Union[None, str, "Engine"]
 
 _ENGINE_KINDS = ("serial", "process")
@@ -145,20 +146,11 @@ class Engine(ABC):
     ) -> List[Any]:
         """Run ``fn`` over ``payloads``, results in submission order."""
 
-    async def aexecute_round(
-        self,
-        app: Application,
-        config: SherlockConfig,
-        round_index: int,
-        plan: DelayPlan,
-    ) -> RoundExecutions:
-        """:meth:`execute_round` in a worker thread, so the caller's
-        event loop keeps running during the round.  ``asyncio.to_thread``
-        copies the context, so counts the round records land in the
-        caller's :func:`~repro.metrics.recording`."""
-        return await asyncio.to_thread(
-            self.execute_round, app, config, round_index, plan
-        )
+    @property
+    def spec(self) -> str:
+        """The spec string that names this engine as it runs (what job
+        reports record), e.g. ``"serial"`` or ``"process:4"``."""
+        return self.name
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -232,6 +224,10 @@ class ProcessEngine(Engine):
     @property
     def concurrency(self) -> int:
         return self.workers
+
+    @property
+    def spec(self) -> str:
+        return f"process:{self.workers}"
 
     def execute_round(
         self,
@@ -330,22 +326,18 @@ class ProcessEngine(Engine):
 def parse_engine_spec(spec: str) -> Tuple[str, Optional[int]]:
     """Split an engine spec string into ``(kind, concurrency)``.
 
-    ``"serial" | "process[:N]" | "auto"`` — raises ``ValueError`` on
-    anything else.
+    ``"serial" | "process[:N]"`` — raises ``ValueError`` on anything
+    else.
     """
     if not isinstance(spec, str):
         raise TypeError(
             f"engine spec must be a string or Engine, got {type(spec).__name__}"
         )
     kind, sep, arg = spec.partition(":")
-    if kind == "auto":
-        if sep:
-            raise ValueError("engine spec 'auto' takes no :N suffix")
-        return "auto", None
     if kind not in _ENGINE_KINDS:
         raise ValueError(
             f"unknown engine spec {spec!r}; choose from "
-            f"{['auto', *_ENGINE_KINDS]} (e.g. 'process:4')"
+            f"{list(_ENGINE_KINDS)} (e.g. 'process:4')"
         )
     concurrency: Optional[int] = None
     if sep:
@@ -365,38 +357,19 @@ def parse_engine_spec(spec: str) -> Tuple[str, Optional[int]]:
     return kind, concurrency
 
 
-def validate_engine_spec(spec: str) -> None:
-    """Raise ``ValueError``/``TypeError`` when ``spec`` cannot name an
-    engine (used by ``SherlockConfig.validate``)."""
-    parse_engine_spec(spec)
-
-
-def coerce_engine(
-    spec: EngineSpec = None, *, default_workers: Optional[int] = None
-) -> Engine:
+def coerce_engine(spec: EngineSpec = None) -> Engine:
     """Interpret an ``engine=`` argument into a live :class:`Engine`.
 
-    ``None``/"auto" → serial, unless ``default_workers`` > 1 (the legacy
-    ``workers=`` knob) selects a process pool of that size.  Spec strings
-    without an explicit ``:N`` size themselves from ``default_workers``
-    when it is > 1, else from ``os.cpu_count()``.  An :class:`Engine`
-    instance passes through unchanged (sharable across calls).
+    ``None`` → serial.  ``"process"`` without an explicit ``:N`` sizes
+    itself from ``os.cpu_count()``.  An :class:`Engine` instance passes
+    through unchanged (sharable across calls).
     """
     if isinstance(spec, Engine):
         return spec
-    kind, concurrency = parse_engine_spec(spec if spec is not None else "auto")
-    if kind == "auto":
-        if default_workers is not None and default_workers > 1:
-            return ProcessEngine(default_workers)
-        return SerialEngine()
+    kind, concurrency = parse_engine_spec("serial" if spec is None else spec)
     if kind == "serial":
         return SerialEngine()
-    if concurrency is None:
-        if default_workers is not None and default_workers > 1:
-            concurrency = default_workers
-        else:
-            concurrency = os.cpu_count() or 4
-    return ProcessEngine(concurrency)
+    return ProcessEngine(concurrency or os.cpu_count() or 4)
 
 
 __all__ = [
@@ -408,5 +381,4 @@ __all__ = [
     "coerce_engine",
     "execute_test_payload",
     "parse_engine_spec",
-    "validate_engine_spec",
 ]

@@ -67,19 +67,6 @@ class TestConfig:
         assert TABLE5_ABLATIONS["SherLock"] == {}
 
     @pytest.mark.parametrize(
-        "scope", ["per-round", "per-run", "global", "", "PER-LOG"]
-    )
-    def test_ambiguous_window_cap_scope_rejected(self, scope):
-        """Only the documented per-log cap semantics is implementable
-        without retroactively invalidating already-encoded windows; any
-        other requested scope fails at construction, not mid-pipeline."""
-        with pytest.raises(ValueError, match="window_cap_scope"):
-            SherlockConfig(window_cap_scope=scope)
-
-    def test_per_log_window_cap_scope_is_the_default(self):
-        assert SherlockConfig().window_cap_scope == "per-log"
-
-    @pytest.mark.parametrize(
         "backend",
         ["auto", "scipy", "highs", "simplex", "revised-simplex"],
     )

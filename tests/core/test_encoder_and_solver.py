@@ -6,8 +6,6 @@ from repro.core import ObservationStore, SherlockConfig, infer
 from repro.core.encoder import build_model
 from repro.core.windows import Window
 from repro.trace import (
-    OpRef,
-    OpType,
     Role,
     SyncOp,
     TraceLog,

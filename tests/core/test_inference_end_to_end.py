@@ -12,8 +12,6 @@ from repro.sim import (
     AppInfo,
     Application,
     GroundTruth,
-    KIND_API,
-    KIND_VARIABLE,
     Method,
     UnitTest,
 )

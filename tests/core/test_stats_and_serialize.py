@@ -20,7 +20,6 @@ from repro.trace import (
     TraceEvent,
     TraceLog,
     begin_of,
-    end_of,
     read_of,
     write_of,
 )

@@ -238,9 +238,8 @@ def test_refinement_disabled_keeps_raw_windows():
 
 
 class TestWindowCapIsPerLog:
-    """``window_cap`` scopes to one trace log (one test execution) — the
-    documented, validated semantics (``SherlockConfig.window_cap_scope``).
-    The counter resets for every log, so k logs may contribute up to
+    """``window_cap`` scopes to one trace log (one test execution), as the
+    ``SherlockConfig.window_cap`` field documents.  The counter resets for every log, so k logs may contribute up to
     ``k * cap`` windows for the same static location pair.  The
     incremental encoder's append-only window stream depends on this: a
     cross-log (cross-round) cap would retroactively drop windows that

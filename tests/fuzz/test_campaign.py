@@ -99,7 +99,7 @@ class TestCampaignConfigValidate:
         [
             {"schedules": 0},
             {"rounds": 0},
-            {"workers": 0},
+            {"engine": "auto"},
             {"replay_every": -1},
             {"app_ids": []},
         ],
@@ -248,10 +248,14 @@ class TestRunCampaign:
             oracles=False,
             replay_every=0,
         )
-        with ExecutionRuntime(workers=1) as rt:
+        with ExecutionRuntime(engine="process:2") as rt:
             report = run_campaign(config, runtime=rt)
         assert len(report.results) == 2
         assert report.ok()
+        # The report names the caller's engine, not the config's (None).
+        assert report.to_dict()["campaign"]["engine"] == "process:2"
+        assert "workers" not in report.to_dict()["campaign"]
+        assert "engine=process:2" in report.summary()
 
     def test_base_seed_offsets_schedules(self):
         config = CampaignConfig(

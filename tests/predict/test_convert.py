@@ -299,12 +299,14 @@ class TestDirectedDeterminism:
 
     @pytest.mark.parametrize("engine", ["serial", "process:2"])
     def test_serial_process_async_agree(self, engine):
-        config = ConvertConfig(
-            app_ids=["App-5"], schedules=2, engine=engine
-        )
+        # The config names no engine: the caller's runtime decides, and
+        # the report records the engine that actually ran.
+        config = ConvertConfig(app_ids=["App-5"], schedules=2)
         with ExecutionRuntime(engine=engine) as rt:
             report = run_conversion(config, runtime=rt)
-        reference = run_conversion(
-            ConvertConfig(app_ids=["App-5"], schedules=2)
-        )
+        reference = run_conversion(config)
         assert self._stable(report) == self._stable(reference)
+        blob = report.to_dict()["config"]
+        assert blob["engine"] == engine and "workers" not in blob
+        assert report.metrics.workers == rt.engine.concurrency
+        assert reference.to_dict()["config"]["engine"] == "serial"

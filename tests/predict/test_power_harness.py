@@ -57,9 +57,12 @@ def test_sweep_on_shared_runtime():
     config = PowerConfig(
         app_ids=["App-7"], schedules=2, rounds=1, specs=("manual",)
     )
-    with ExecutionRuntime(workers=1) as rt:
+    with ExecutionRuntime(engine="process:2") as rt:
         report = run_power_sweep(config, runtime=rt)
     assert [r.seed for r in report.rows] == [0, 1]
+    # The report names the caller's engine, not the config's (None).
+    assert report.to_dict()["config"]["engine"] == "process:2"
+    assert "workers" not in report.to_dict()["config"]
 
 
 @pytest.mark.parametrize(

@@ -203,4 +203,4 @@ class TestRuntimeCacheIntegration:
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
-            ExecutionRuntime(workers=0)
+            ExecutionRuntime(engine="process:0")

@@ -34,12 +34,12 @@ class _ExplodingPool:
 
 class TestTaskExceptions:
     def test_task_exception_propagates(self):
-        with ExecutionRuntime(workers=2) as runtime:
+        with ExecutionRuntime(engine="process:2") as runtime:
             with pytest.raises(ValueError, match="payload 2 failed"):
                 runtime.map_jobs(_boom, [1, 2, 3])
 
     def test_task_exception_does_not_poison_pool(self):
-        with ExecutionRuntime(workers=2) as runtime:
+        with ExecutionRuntime(engine="process:2") as runtime:
             with pytest.raises(ValueError):
                 runtime.map_jobs(_boom, [1, 2, 3])
             assert not runtime.engine._pool_broken
@@ -49,7 +49,7 @@ class TestTaskExceptions:
     def test_task_exception_emits_no_warning(self):
         import warnings
 
-        with ExecutionRuntime(workers=2) as runtime:
+        with ExecutionRuntime(engine="process:2") as runtime:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError):
@@ -58,7 +58,7 @@ class TestTaskExceptions:
 
 class TestPoolFailures:
     def test_pool_failure_falls_back_to_serial(self):
-        runtime = ExecutionRuntime(workers=2)
+        runtime = ExecutionRuntime(engine="process:2")
         runtime.engine._pool = _ExplodingPool()
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             result = runtime.map_jobs(_double, [1, 2, 3])
@@ -67,7 +67,7 @@ class TestPoolFailures:
         runtime.close()
 
     def test_broken_pool_stays_serial(self):
-        runtime = ExecutionRuntime(workers=2)
+        runtime = ExecutionRuntime(engine="process:2")
         runtime.engine._pool = _ExplodingPool()
         with pytest.warns(RuntimeWarning):
             runtime.map_jobs(_double, [1, 2])

@@ -1,5 +1,5 @@
 """The pluggable engine layer: spec parsing, the ``engine=`` API, the
-base class's async bridge, and runtime lifecycle guarantees.
+runtime's async bridge, and runtime lifecycle guarantees.
 
 The byte-identity matrix (serial == process == cached) lives in
 ``test_runtime_determinism.py``; this file covers the API surface and
@@ -8,6 +8,7 @@ the engine-specific semantics around it.
 
 import asyncio
 import json
+import os
 import threading
 
 import pytest
@@ -15,7 +16,11 @@ import pytest
 import repro
 from repro.core import SherlockConfig
 from repro.core.serialize import report_to_dict
-from repro.metrics import recording
+from repro.fuzz import CampaignConfig
+from repro.fuzz.sanitizer import trace_digest
+from repro.metrics import count, recording
+from repro.predict import PowerConfig
+from repro.predict.convert import ConvertConfig
 from repro.runtime import (
     Engine,
     ExecutionRuntime,
@@ -38,7 +43,7 @@ class TestParseEngineSpec:
     @pytest.mark.parametrize(
         "spec, expected",
         [
-            ("auto", ("auto", None)),
+            ("process:1", ("process", 1)),
             ("serial", ("serial", None)),
             ("process", ("process", None)),
             ("process:4", ("process", 4)),
@@ -50,7 +55,7 @@ class TestParseEngineSpec:
     @pytest.mark.parametrize(
         "spec",
         ["threads", "process:0", "process:-1", "process:x", "serial:2",
-         "auto:4", "", "async", "async:8"],
+         "auto", "auto:4", "", "async", "async:8"],
     )
     def test_invalid_specs_raise(self, spec):
         with pytest.raises(ValueError):
@@ -64,40 +69,40 @@ class TestParseEngineSpec:
 class TestCoerceEngine:
     def test_default_is_serial(self):
         assert isinstance(coerce_engine(None), SerialEngine)
-        assert isinstance(coerce_engine("auto"), SerialEngine)
-
-    def test_auto_with_workers_picks_process_pool(self):
-        engine = coerce_engine("auto", default_workers=3)
-        assert isinstance(engine, ProcessEngine)
-        assert engine.concurrency == 3
+        assert isinstance(coerce_engine("serial"), SerialEngine)
 
     def test_sized_specs(self):
         assert coerce_engine("process:5").concurrency == 5
 
-    def test_unsized_specs_size_from_default_workers(self):
-        assert coerce_engine("process", default_workers=6).concurrency == 6
-
     def test_unsized_specs_fall_back_to_cpu_count(self):
-        assert coerce_engine("process").concurrency >= 1
+        assert coerce_engine("process").concurrency == (os.cpu_count() or 4)
+
+    @pytest.mark.parametrize("spec", ["serial", "process:1", "process:3"])
+    def test_engine_spec_round_trips(self, spec):
+        """``Engine.spec`` (what job reports record) names the engine
+        it came from, concurrency included."""
+        assert coerce_engine(spec).spec == spec
 
     def test_engine_instance_passes_through(self):
         engine = SerialEngine()
         assert coerce_engine(engine) is engine
 
-    def test_config_rejects_bad_spec_at_construction(self):
-        with pytest.raises(ValueError, match="engine spec"):
-            SherlockConfig(engine="threads")
-        with pytest.raises(ValueError, match="unknown engine spec"):
-            SherlockConfig(engine="async:2")
-        assert SherlockConfig(engine="process:2").engine == "process:2"
+    @pytest.mark.parametrize(
+        "config_cls", [CampaignConfig, PowerConfig, ConvertConfig]
+    )
+    def test_job_configs_reject_bad_spec(self, config_cls):
+        for spec in ("threads", "auto", "process:0"):
+            with pytest.raises(ValueError, match="engine spec"):
+                config_cls(app_ids=["App-7"], engine=spec).validate()
+        config_cls(app_ids=["App-7"], engine="process:2").validate()
 
 
 # -- rounds through the async bridge -----------------------------------------
 
 
 class TestAsyncEngineRounds:
-    """Rounds driven through ``Engine.aexecute_round``, the base class's
-    one async bridge (``repro.run`` and ``repro.arun`` both await it)."""
+    """Rounds driven through ``ExecutionRuntime.aobserve_round``, the one
+    async bridge (``repro.run`` and ``repro.arun`` both await it)."""
 
     def test_round_metrics_surface_in_report(self):
         config = SherlockConfig(rounds=2, seed=0)
@@ -228,20 +233,43 @@ class TestEngineAbstractInterface:
             Engine()
 
     def test_async_bridge_runs_sync_engine_off_loop(self):
-        class EchoEngine(Engine):
-            def execute_round(self, app, config, round_index, plan):
-                return [threading.current_thread()], round_index
+        """The one async bridge, ``ExecutionRuntime.aobserve_round``,
+        runs the synchronous round in a worker thread: a cold and a warm
+        (cached) round both leave the loop thread, equal
+        ``observe_round``'s output, and put the counts made in that
+        thread into the caller's recording."""
+        lookups = []
 
-            def map_jobs(self, fn, payloads):
-                return [fn(p) for p in payloads]
+        class CountingCache(TraceCache):
+            def get(self, key):
+                lookups.append(threading.current_thread())
+                found = super().get(key)
+                count("cache_hits" if found is not None else "cache_misses")
+                return found
 
-        engine = EchoEngine()
+        app = repro.get_application("App-5")
+        config = SherlockConfig(rounds=1, seed=0)
+        rt = ExecutionRuntime(engine="serial", cache=CountingCache())
+        with ExecutionRuntime() as serial:
+            reference = serial.observe_round(app, config, 0)
 
-        async def bridged():
-            return await engine.aexecute_round(None, None, 7, {})
+        async def cold_then_warm():
+            outcomes = []
+            for _ in range(2):
+                with recording() as metrics:
+                    outcome = await rt.aobserve_round(app, config, 0)
+                outcomes.append((outcome, metrics, threading.current_thread()))
+            return outcomes
 
-        # The inherited async bridge drives the sync implementation in a
-        # worker thread.
-        (thread,), used = asyncio.run(bridged())
-        assert used == 7
-        assert thread is not threading.main_thread()
+        (cold, cold_m, loop_thread), (warm, warm_m, _) = asyncio.run(
+            cold_then_warm()
+        )
+        rt.close()
+        assert len(lookups) == 2
+        assert all(t is not loop_thread for t in lookups)
+        assert (cold.cache_hit, warm.cache_hit) == (False, True)
+        expected = trace_digest(reference.executions)
+        assert trace_digest(cold.executions) == expected
+        assert trace_digest(warm.executions) == expected
+        assert (cold_m.cache_misses, cold_m.engine_concurrency_hwm) == (1, 1)
+        assert (warm_m.cache_hits, warm_m.engine_concurrency_hwm) == (1, 0)

@@ -59,10 +59,10 @@ def test_disk_cache_matches_serial(app_id, serial_baselines, tmp_path):
 
 
 def test_parallel_and_cached_compose(serial_baselines):
-    """workers>1 with a shared cache: cold parallel then warm replay."""
+    """A process pool with a shared cache: cold parallel then warm replay."""
     config = SherlockConfig(rounds=2, seed=0)
     cache = TraceCache()
-    with ExecutionRuntime(workers=4, cache=cache) as runtime:
+    with ExecutionRuntime(engine="process:4", cache=cache) as runtime:
         cold = repro.run("App-7", config, engine=runtime)
         warm = repro.run("App-7", config, engine=runtime)
     assert canonical(cold) == serial_baselines["App-7"]
