@@ -18,12 +18,11 @@ simplex is differentially tested against lives in
 ``tests/oracles/simplex.py``.
 
 Presolve (:mod:`repro.lp.presolve`) is orchestrated here, in front of
-every backend: above the same 4096-real-column gate that switches the
-revised simplex to Dantzig pricing, the standard form is reduced, the
-backend solves the reduction, and postsolve lifts the solution (values,
-objective, basis labels) back to the original form.  Below the gate
-presolve is the identity, keeping the paper-sized byte-identity
-contract untouched.  The gate is the only rule.
+every backend: at or above 4096 real columns the standard form is
+reduced, the backend solves the reduction, and postsolve lifts the
+solution (values, objective, basis labels) back to the original form.
+Below the gate presolve is the identity, so paper-sized LPs reach the
+backend exactly as lowered.  The gate is the only rule.
 """
 
 from __future__ import annotations
@@ -37,9 +36,7 @@ from .model import Model, StandardForm
 from .solution import Solution
 
 #: Real-column count (structural + slack columns, i.e. ``n + ub rows +
-#: finite upper bounds``) at which presolve engages — deliberately the
-#: same threshold as the revised simplex's Dantzig gate so the two
-#: scale-mode levers switch on together.
+#: finite upper bounds``) at which presolve engages.
 _PRESOLVE_MIN_COLUMNS = 4096
 
 
@@ -87,9 +84,9 @@ def available_backends() -> tuple:
 
 
 def _presolve_gate(form: StandardForm) -> bool:
-    """Whether ``form`` is scale-tier sized (same count the revised
-    simplex uses for its Dantzig gate: structural columns + ub rows +
-    one bound row per finite upper bound)."""
+    """Whether ``form`` is scale-tier sized, counted in the revised
+    simplex's real columns: structural columns + ub rows + one bound
+    row per finite upper bound."""
     n_real = len(form.variables) + form.a_ub.shape[0]
     n_real += sum(
         1

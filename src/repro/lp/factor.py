@@ -33,7 +33,7 @@ Performance notes (the cold-solve optimization pass):
   refactorization points;
 * refactorizations can **reuse the column ordering** of the previous
   factorization (``col_order=``): the basis changes by at most
-  ``refactor_interval`` columns between refactorizations, so the old
+  :data:`REFACTOR_INTERVAL` columns between refactorizations, so the old
   fill-reducing permutation is usually still good, and re-applying it
   skips the COLAMD analysis (``permc_spec="NATURAL"`` on the
   pre-permuted matrix).  The driver watches :attr:`LUFactor.fill_nnz`
@@ -41,7 +41,7 @@ Performance notes (the cold-solve optimization pass):
 
 Every update appends one eta, so solve cost grows with the chain;
 :attr:`LUFactor.should_refactor` tells the driver to refactorize from
-scratch once the chain reaches ``refactor_interval`` (or immediately
+scratch once the chain reaches :data:`REFACTOR_INTERVAL` (or immediately
 when an update pivot is numerically tiny, which is how
 degeneracy-induced drift is flushed).
 
@@ -60,7 +60,7 @@ import numpy as np
 SparseColumn = Tuple[np.ndarray, np.ndarray]
 
 #: Updates accumulated before :attr:`LUFactor.should_refactor` trips.
-DEFAULT_REFACTOR_INTERVAL = 64
+REFACTOR_INTERVAL = 64
 
 #: Pivots smaller than this make an eta update numerically unsafe; the
 #: driver refactorizes instead.
@@ -81,8 +81,6 @@ class LUFactor:
     ----------
     columns:
         The ``m`` basis columns as sparse ``(indices, values)`` pairs.
-    refactor_interval:
-        Eta-chain length at which :attr:`should_refactor` turns true.
     col_order:
         Optional column ordering (a permutation of ``range(m)``) to
         reuse from a previous factorization instead of computing a fresh
@@ -95,7 +93,6 @@ class LUFactor:
     def __init__(
         self,
         columns: Sequence[SparseColumn],
-        refactor_interval: int = DEFAULT_REFACTOR_INTERVAL,
         col_order: Optional[np.ndarray] = None,
     ) -> None:
         from scipy.sparse import csc_matrix
@@ -103,7 +100,6 @@ class LUFactor:
 
         m = len(columns)
         self.m = m
-        self.refactor_interval = refactor_interval
         self._order: Optional[np.ndarray] = (
             np.asarray(col_order, dtype=np.int64)
             if col_order is not None
@@ -141,9 +137,9 @@ class LUFactor:
 
         # Packed eta file.
         self._eta_count = 0
-        self._eta_rows = np.empty(refactor_interval + 1, dtype=np.int64)
-        self._eta_pivots = np.empty(refactor_interval + 1, dtype=np.float64)
-        self._eta_indptr = np.zeros(refactor_interval + 2, dtype=np.int64)
+        self._eta_rows = np.empty(REFACTOR_INTERVAL + 1, dtype=np.int64)
+        self._eta_pivots = np.empty(REFACTOR_INTERVAL + 1, dtype=np.float64)
+        self._eta_indptr = np.zeros(REFACTOR_INTERVAL + 2, dtype=np.int64)
         self._eta_idx = np.empty(_ETA_CAPACITY, dtype=np.int64)
         self._eta_val = np.empty(_ETA_CAPACITY, dtype=np.float64)
         self.eta_updates = 0
@@ -259,28 +255,16 @@ class LUFactor:
 
     @property
     def should_refactor(self) -> bool:
-        return self._eta_count >= self.refactor_interval
+        return self._eta_count >= REFACTOR_INTERVAL
 
     @property
     def eta_count(self) -> int:
         return self._eta_count
 
 
-def factor_basis(
-    columns: Sequence[SparseColumn],
-    refactor_interval: int = DEFAULT_REFACTOR_INTERVAL,
-) -> Optional[LUFactor]:
-    """:class:`LUFactor` for ``columns``, or ``None`` when singular."""
-    try:
-        return LUFactor(columns, refactor_interval=refactor_interval)
-    except SingularBasisError:
-        return None
-
-
 __all__ = [
-    "DEFAULT_REFACTOR_INTERVAL",
     "LUFactor",
     "PIVOT_TOL",
+    "REFACTOR_INTERVAL",
     "SingularBasisError",
-    "factor_basis",
 ]

@@ -45,10 +45,10 @@ is active, bound-row slacks for eliminated columns); it returns
 reduction with no exact label mapping ran (bound tightening, dropped
 equality rows, an artificial in the reduced basis).
 
-Presolve is orchestrated by :func:`repro.lp.backends.solve` and gated
-like Dantzig pricing: off below the 4096-real-column gate
-(``backends._PRESOLVE_MIN_COLUMNS``) so the paper-sized byte-identity
-contract is untouched, on above it.
+Presolve is orchestrated by :func:`repro.lp.backends.solve` behind its
+own gate: off below 4096 real columns
+(``backends._PRESOLVE_MIN_COLUMNS``), so paper-sized LPs are solved
+exactly as lowered, and on at or above it.
 """
 
 from __future__ import annotations
@@ -233,8 +233,8 @@ class PresolvedProblem:
         """Translate full-problem basis labels (a previous round's
         postsolved basis) into reduced-problem labels, dropping labels
         for eliminated rows/columns.  The result is usually shorter
-        than the reduced row count — the dual re-solve path completes
-        it deterministically."""
+        than the reduced row count, and the revised simplex then
+        cold-starts from its crash basis."""
         if warm_basis is None or self.identity:
             return warm_basis
         name_action: Dict[str, int] = {}

@@ -10,26 +10,19 @@ The built-in backend.  It:
   sparse LU plus an eta file, refactorized periodically), and per
   iteration does one btran (pricing duals), one sparse
   ``A^T y`` product (reduced costs), and one ftran (entering column);
-* prices with Bland's rule (first improving column), the same rule the
-  dense-tableau test oracle (``tests/oracles/simplex.py``) uses.
-  Bland's rule is both the anti-cycling guarantee *and* the
-  byte-identity guarantee: entering-column selection depends only on
-  the sign of each reduced cost, so the LU-based arithmetic here and
-  the tableau arithmetic of the oracle make the same pivot decisions
-  and visit the same vertices.  (Dantzig pricing was measured to break
-  that: its argmin is decided by ulp-level comparisons between reduced
-  costs computed by different arithmetic, and on the degenerate
-  SherLock LPs the two solvers then settle on different — equally
-  optimal — vertices, which the differential suite must rule out);
-* above :data:`_DANTZIG_MIN_COLUMNS` real columns it switches to
-  deterministic Dantzig pricing (most negative reduced cost, lowest
-  index on ties) with a Bland fallback after a run of degenerate
-  pivots (the anti-cycling guarantee).  The byte-identity contract only
-  covers the paper-sized LPs — every app in the corpus and every LP the
-  differential suites generate sits far below the threshold — while the
-  scale tier (``App-XL1..XL3``, where no cross-backend identity is
-  promised) gets the pricing rule that converges in a small multiple of
-  ``m`` pivots instead of Bland's degeneracy crawl;
+* prices with Bland's rule (first improving column) at every LP size,
+  the same rule the dense-tableau test oracle
+  (``tests/oracles/simplex.py``) uses.  Bland's rule is both the
+  anti-cycling guarantee *and* the byte-identity guarantee:
+  entering-column selection depends only on the sign of each reduced
+  cost, so the LU-based arithmetic here and the tableau arithmetic of
+  the oracle make the same pivot decisions and visit the same vertices.
+  (Dantzig pricing was measured to break that: its argmin is decided by
+  ulp-level comparisons between reduced costs computed by different
+  arithmetic, and on the degenerate SherLock LPs the two solvers then
+  settle on different — equally optimal — vertices.)  Large LPs are
+  HiGHS's job (``backend="auto"``); this solver stays the from-scratch
+  reference that agrees with the oracle bit for bit;
 * runs the textbook phase-1 (artificial variables for rows without a
   usable slack) / phase-2 driver.  Artificial columns are virtual unit
   columns — never materialized; in phase 2 a still-basic artificial is
@@ -70,7 +63,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..metrics import count
-from .factor import DEFAULT_REFACTOR_INTERVAL, LUFactor, SingularBasisError
+from .factor import LUFactor, SingularBasisError
 from .model import Model, StandardForm
 from .solution import BasisLabels, Solution, SolveStatus
 
@@ -83,38 +76,6 @@ _MAX_ITER_FACTOR = 50
 #: Columns priced per block in the Bland scan (early exit on the first
 #: block containing a negative reduced cost).
 _PRICE_BLOCK = 4096
-
-#: Real-column count at which pricing switches from Bland's rule to
-#: deterministic Dantzig (most negative reduced cost, lowest index on
-#: ties).  Every paper-app LP and every LP the differential suites
-#: generate sits orders of magnitude below this, so the cross-backend
-#: byte-identity contract (which holds only under Bland) is untouched;
-#: only the scale tier crosses it.
-_DANTZIG_MIN_COLUMNS = 4096
-
-#: Consecutive degenerate (``theta <= _EPS``) Dantzig pivots tolerated
-#: before falling back to Bland's rule (on both the entering column and
-#: the leaving-row tie-break — the anti-cycling theorem needs both);
-#: the first nondegenerate pivot switches back.
-_DEGENERATE_STREAK_LIMIT = 64
-
-#: Relative magnitude of the deterministic rhs perturbation applied in
-#: scale mode.  SherLock LPs are massively degenerate (every window row
-#: reads ``aux + Σ vars - s = 1``), and a primal simplex stalls on the
-#: resulting zero-step plateaus; perturbing each right-hand side by a
-#: distinct tiny amount makes almost every pivot strictly improving.
-#: The final basis is re-solved against the *true* rhs (dual
-#: feasibility — optimality of the basis — is rhs-independent), so the
-#: perturbation never appears in reported values.
-_PERTURB_SCALE = 1e-7
-
-#: Eta-chain length between refactorizations in scale mode (measured
-#: sweet spot on App-XL1: fewer LU factorizations without the eta
-#: chains growing past what they save).  Paper-sized solves keep
-#: :data:`~repro.lp.factor.DEFAULT_REFACTOR_INTERVAL` so their
-#: arithmetic path — and with it cross-backend byte-identity — is
-#: untouched.
-_SCALE_REFACTOR_INTERVAL = 96
 
 #: A reused column ordering is abandoned once the factor's fill exceeds
 #: this multiple of the last fresh (COLAMD) factorization's fill.
@@ -221,14 +182,6 @@ class _Problem:
     bound_row_vars: List[str]
     form: StandardForm
     art_rows: List[int] = field(default_factory=list)
-    #: rhs used *during iteration*: equals :attr:`rhs` normally, or the
-    #: deterministically perturbed copy in scale mode.  Final values are
-    #: always re-solved against the true :attr:`rhs`.
-    rhs_iter: Optional[np.ndarray] = None
-
-    @property
-    def b_iter(self) -> np.ndarray:
-        return self.rhs if self.rhs_iter is None else self.rhs_iter
 
     @property
     def m(self) -> int:
@@ -371,46 +324,33 @@ def _factor(
     basis: List[int],
     counters: _Counters,
     timers: _Timers,
-    ctx: Optional[_FactorContext] = None,
+    ctx: _FactorContext,
 ) -> Optional[LUFactor]:
     columns = [problem.column(col) for col in basis]
-    order = ctx.order if ctx is not None else None
-    interval = (
-        _SCALE_REFACTOR_INTERVAL
-        if problem.n_real >= _DANTZIG_MIN_COLUMNS
-        else DEFAULT_REFACTOR_INTERVAL
-    )
+    order = ctx.order
     t0 = perf_counter()
     try:
-        lu = LUFactor(
-            columns,
-            refactor_interval=interval,
-            col_order=order,
-        )
+        lu = LUFactor(columns, col_order=order)
     except SingularBasisError:
         lu = None
         if order is not None:
             # A reused ordering can go numerically bad where a fresh
             # COLAMD factorization would not; retry once from scratch.
             try:
-                lu = LUFactor(columns, refactor_interval=interval)
+                lu = LUFactor(columns)
             except SingularBasisError:
                 lu = None
     timers.factorize_s += perf_counter() - t0
     if lu is None:
         return None
     counters.factorizations += 1
-    if ctx is not None:
-        if lu.reused_ordering:
-            ctx.order = lu.ordering
-            if (
-                ctx.fresh_fill
-                and lu.fill_nnz > _FILL_DEGRADATION * ctx.fresh_fill
-            ):
-                ctx.order = None  # fill degraded: reorder next time
-        else:
-            ctx.fresh_fill = lu.fill_nnz
-            ctx.order = lu.ordering
+    if lu.reused_ordering:
+        ctx.order = lu.ordering
+        if ctx.fresh_fill and lu.fill_nnz > _FILL_DEGRADATION * ctx.fresh_fill:
+            ctx.order = None  # fill degraded: reorder next time
+    else:
+        ctx.fresh_fill = lu.fill_nnz
+        ctx.order = lu.ordering
     return lu
 
 
@@ -424,7 +364,7 @@ class _IterationState:
         lu: LUFactor,
         counters: _Counters,
         timers: _Timers,
-        ctx: Optional[_FactorContext] = None,
+        ctx: _FactorContext,
     ) -> None:
         self.problem = problem
         self.basis = basis
@@ -437,7 +377,7 @@ class _IterationState:
 
     def _basic_solution(self) -> np.ndarray:
         t0 = perf_counter()
-        xb = self.lu.ftran(self.problem.b_iter)
+        xb = self.lu.ftran(self.problem.rhs)
         self.timers.ftran_btran_s += perf_counter() - t0
         # Flush roundoff-scale negativity so the ratio test stays sane.
         np.copyto(xb, 0.0, where=(xb < 0) & (xb > -1e-9))
@@ -470,13 +410,10 @@ def _iterate(
     ``pin_artificials`` (phase 2), a basic artificial sits at zero and
     any pivot touching its row is forced degenerate, which ejects it.
 
-    Pivot selection below :data:`_DANTZIG_MIN_COLUMNS` real columns is
-    Bland's rule on both ends (first column with a negative reduced
-    cost; leaving-row ties broken by the smallest basic column),
-    matching the tableau oracle pivot-for-pivot — see the module
-    docstring for why this is load-bearing.  Above it, entering columns
-    are picked by deterministic Dantzig pricing with a Bland fallback
-    under sustained degeneracy.
+    Pivot selection is Bland's rule on both ends (first column with a
+    negative reduced cost; leaving-row ties broken by the smallest basic
+    column), matching the tableau oracle pivot-for-pivot — see the
+    module docstring for why this is load-bearing.
     """
     problem = state.problem
     m = problem.m
@@ -484,18 +421,11 @@ def _iterate(
     matrix_t = problem.matrix_t
     timers = state.timers
     basis = state.basis
-    use_dantzig = n_real >= _DANTZIG_MIN_COLUMNS
-    degenerate_streak = 0
     # Pre-sliced pricing blocks: CSR row slicing copies the submatrix,
     # which at one slice per iteration dominates small cold solves.
     # Slicing once up front computes the same products on the same
     # stored values — bit-identical, minus the per-iteration copies.
-    # (Dantzig mode prices off the whole matrix and, on its rare Bland
-    # fallback iterations, eats the slice copy instead of fronting a
-    # full-matrix copy it would almost never use.)
-    if use_dantzig:
-        price_blocks = None
-    elif n_real <= _PRICE_BLOCK:
+    if n_real <= _PRICE_BLOCK:
         price_blocks = [(0, matrix_t)]
     else:
         price_blocks = [
@@ -530,39 +460,20 @@ def _iterate(
 
         t0 = perf_counter()
         entering = -1
-        dantzig_iter = (
-            use_dantzig and degenerate_streak < _DEGENERATE_STREAK_LIMIT
-        )
-        if dantzig_iter:
-            # Dantzig: one full sparse product, most negative reduced
-            # cost, ties to the lowest index (np.argmin's convention).
-            reduced = costs_real - matrix_t @ y
-            # Basic columns price to ~0; mask them out so roundoff
-            # never re-selects one.
-            reduced[in_basis] = 0.0
-            j = int(np.argmin(reduced))
-            if reduced[j] < -_EPS:
-                entering = j
-        else:
-            # Blockwise Bland pricing with early exit.  Each CSR row of
-            # ``matrix_t`` prices independently (a sequential sparse
-            # dot), so per-block products are bit-identical to the full
-            # one and the first negative entry is the same column Bland
-            # would pick.
-            blocks = price_blocks
-            if blocks is None:  # rare Bland fallback in Dantzig mode
-                blocks = (
-                    (lo, matrix_t[lo : min(lo + _PRICE_BLOCK, n_real)])
-                    for lo in range(0, n_real, _PRICE_BLOCK)
-                )
-            for lo, block in blocks:
-                hi = min(lo + _PRICE_BLOCK, n_real)
-                reduced = costs_real[lo:hi] - block @ y
-                reduced[in_basis[lo:hi]] = 0.0
-                negative = np.nonzero(reduced < -_EPS)[0]
-                if negative.size:
-                    entering = lo + int(negative[0])
-                    break
+        # Blockwise Bland pricing with early exit.  Each CSR row of
+        # ``matrix_t`` prices independently (a sequential sparse dot),
+        # so per-block products are bit-identical to the full one and
+        # the first negative entry is the same column Bland would pick.
+        # Basic columns price to ~0; masking them out means roundoff
+        # never re-selects one.
+        for lo, block in price_blocks:
+            hi = min(lo + _PRICE_BLOCK, n_real)
+            reduced = costs_real[lo:hi] - block @ y
+            reduced[in_basis[lo:hi]] = 0.0
+            negative = np.nonzero(reduced < -_EPS)[0]
+            if negative.size:
+                entering = lo + int(negative[0])
+                break
         timers.pricing_s += perf_counter() - t0
         if entering < 0:
             return "optimal"
@@ -570,7 +481,7 @@ def _iterate(
         t0 = perf_counter()
         if refactored:
             pair = np.empty((m, 2), dtype=np.float64)
-            pair[:, 0] = problem.b_iter
+            pair[:, 0] = problem.rhs
             pair[:, 1] = problem.column_dense(entering)
             both = state.lu.ftran(pair)
             xb = np.ascontiguousarray(both[:, 0])
@@ -595,45 +506,23 @@ def _iterate(
             candidates = np.nonzero(w > _EPS)[0]
         best_row, best_ratio = -1, np.inf
         xb = state.xb
-        if dantzig_iter and candidates.size:
-            # Scale mode, fully vectorized: minimum ratio, ties (within
-            # ``_EPS``) to the row with the largest pivot magnitude —
-            # the standard anti-stalling (and numerically safest) choice
-            # on heavily degenerate LPs.  ``argmax`` takes the first of
-            # equal magnitudes, so the choice is deterministic.
-            ratios = xb[candidates] / w[candidates]
-            if pin_artificials:
-                ratios[basis_arr[candidates] >= n_real] = 0.0
-            tied = np.nonzero(ratios == ratios.min())[0]
-            pick = tied[int(np.argmax(np.abs(w[candidates[tied]])))]
-            best_row = int(candidates[pick])
-            best_ratio = float(ratios[pick])
-        elif not dantzig_iter:
-            for i in candidates.tolist():
-                if pin_artificials and basis[i] >= n_real:
-                    # Basic artificial, pinned at zero: any movement of
-                    # this row caps theta at 0 and swaps the artificial
-                    # out.
-                    ratio = 0.0
-                else:
-                    ratio = xb[i] / w[i]
-                if ratio < best_ratio - _EPS or (
-                    abs(ratio - best_ratio) <= _EPS
-                    and (best_row < 0 or basis[i] < basis[best_row])
-                ):
-                    best_ratio = ratio
-                    best_row = i
+        for i in candidates.tolist():
+            if pin_artificials and basis[i] >= n_real:
+                # Basic artificial, pinned at zero: any movement of this
+                # row caps theta at 0 and swaps the artificial out.
+                ratio = 0.0
+            else:
+                ratio = xb[i] / w[i]
+            if ratio < best_ratio - _EPS or (
+                abs(ratio - best_ratio) <= _EPS
+                and (best_row < 0 or basis[i] < basis[best_row])
+            ):
+                best_ratio = ratio
+                best_row = i
         if best_row < 0:
             return "unbounded"
 
         theta = max(best_ratio, 0.0)
-        # Degeneracy watchdog for Dantzig mode: a long run of zero-step
-        # pivots could cycle, so Bland (which cannot) takes over until
-        # the objective strictly moves again.
-        if theta <= _EPS:
-            degenerate_streak += 1
-        else:
-            degenerate_streak = 0
         state.xb -= theta * w
         state.xb[best_row] = theta
         np.copyto(
@@ -654,27 +543,6 @@ def _iterate(
         elif not state.refactor():
             return "singular"
     return "iteration_limit"
-
-
-def _perturb_rhs(problem: _Problem) -> None:
-    """Scale-mode anti-degeneracy: iterate against a deterministically
-    perturbed rhs so ratio-test ties (and the degenerate plateaus they
-    cause) all but vanish.  Each row gets a distinct positive nudge —
-    positive keeps the normalized ``rhs >= 0`` invariant, distinct
-    breaks the ties — sized relative to the row.  Knuth's
-    multiplicative-hash constant spreads the 16-bit fractions.  The
-    final basis is always re-solved against the true rhs.  No-op below
-    the Dantzig gate so paper-sized arithmetic is untouched."""
-    if problem.n_real < _DANTZIG_MIN_COLUMNS:
-        return
-    m = problem.m
-    rows = np.arange(m, dtype=np.uint64)
-    frac = (
-        (rows * np.uint64(2654435761)) & np.uint64(0xFFFF)
-    ).astype(np.float64) / 65536.0
-    problem.rhs_iter = problem.rhs + _PERTURB_SCALE * (1.0 + frac) * (
-        np.maximum(1.0, np.abs(problem.rhs))
-    )
 
 
 def _crash_singletons(problem: _Problem, basis: List[int]) -> None:
@@ -782,7 +650,7 @@ def _extract(
     sol.iterations = prior_iterations + state.iterations
     sol.basis = _basis_labels(problem, state.basis)
     # The returned solution is final here, so the solve's factorization
-    # work (discarded warm/dual attempts included) is counted once.
+    # work (a discarded warm attempt included) is counted once.
     timers = state.timers
     count("lp_factorizations", counters.factorizations)
     count("lp_refactorizations", counters.refactorizations)
@@ -896,21 +764,6 @@ def solve_revised(
         if warm is not None:
             count("lp_phase1_skipped")
             return warm
-        if problem.n_real >= _DANTZIG_MIN_COLUMNS:
-            # Scale tier: the carried basis no longer resolves cleanly
-            # or is primal-infeasible after the round's delta — re-enter
-            # through the dual simplex instead of redoing phase 1.
-            # Below the gate the strict warm path is the only warm path,
-            # keeping the byte-identity contract untouched.
-            from .dual import attempt_dual_resolve
-
-            dual = attempt_dual_resolve(
-                problem, warm_basis, counters, timers, max_iter
-            )
-            if dual is not None:
-                return dual
-
-    _perturb_rhs(problem)
 
     # Initial basis: the slack where it survived sign normalization with
     # coefficient +1, then crashed singleton structural columns, a

@@ -1,7 +1,7 @@
 """Per-phase timings and counters, recorded where the work happens.
 
 Each layer reports its own work at the point where it is done:
-``count("lp_dual_iterations", n)`` adds to a counter and
+``count("lp_phase1_iterations", n)`` adds to a counter and
 ``with timed("encode_s"):`` adds a phase's wall-clock seconds.
 :meth:`~repro.core.pipeline.Sherlock.arun` opens one :func:`recording`
 per round, and the :class:`RunMetrics` that recording yields *is* the
@@ -89,15 +89,14 @@ class RunMetrics:
     lp_ftran_btran_s: float = 0.0
     lp_pricing_s: float = 0.0
     lp_eta_len: int = 0
-    #: Presolve + dual re-solve counters (scale tier; zero below the
-    #: 4096-column gate where presolve is the identity): seconds spent
-    #: reducing, rows/columns the reductions removed, dual-simplex
-    #: re-solve pivots, primal phase-1 iterations, and how many rounds
-    #: did zero phase-1 work (so a 3-round run reports up to 3).
+    #: Presolve counters (zero below the 4096-column presolve gate,
+    #: where presolve is the identity): seconds spent reducing and
+    #: rows/columns the reductions removed.  Then the revised simplex's
+    #: primal phase-1 iterations, and how many rounds did zero phase-1
+    #: work (so a 3-round run reports up to 3).
     lp_presolve_s: float = 0.0
     lp_presolve_rows: int = 0
     lp_presolve_cols: int = 0
-    lp_dual_iterations: int = 0
     lp_phase1_iterations: int = 0
     lp_phase1_skipped: int = 0
     #: Variables/constraints the encoder actually appended this round —
@@ -175,8 +174,7 @@ class RunMetrics:
                 f"lp presolve: {self.lp_presolve_s:.3f}s, "
                 f"{self.lp_presolve_rows} rows / "
                 f"{self.lp_presolve_cols} cols eliminated; "
-                f"re-solve: {self.lp_dual_iterations} dual pivots, "
-                f"{self.lp_phase1_iterations} phase-1 iterations, "
+                f"simplex: {self.lp_phase1_iterations} phase-1 iterations, "
                 f"phase-1 skipped in {self.lp_phase1_skipped} round(s)",
                 f"engine: concurrency hwm {self.engine_concurrency_hwm}",
                 f"convert: {self.convert_targets} targets, "

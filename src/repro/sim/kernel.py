@@ -79,7 +79,9 @@ class Kernel:
     policy sees the same candidates and makes the same draws; the heap
     top is the earliest ``wake_at``.  Whether the policy can defer at
     all is decided once, here: the base :meth:`SchedulePolicy.defer`
-    never does and draws nothing, so it is not consulted.
+    never does and draws nothing, so it is not consulted.  Whether the
+    delay plan is empty is decided once too: an empty plan delays
+    nothing, so no op asks it.
     """
 
     def __init__(
@@ -102,6 +104,9 @@ class Kernel:
         #: Names of the plan's triggers: ``_maybe_delay`` returns before
         #: building an OpRef for an op whose name is not among them.
         self._trigger_names = frozenset(ref.name for ref in self.delay_plan)
+        #: False for an empty plan (all of round 0): ``_dispatch`` then
+        #: never calls ``_maybe_delay``, which could only return False.
+        self._has_delays = bool(self.delay_plan)
         self.event_filter = event_filter
         self.max_steps = max_steps
         self.threads: List[SimThread] = []
@@ -277,7 +282,9 @@ class Kernel:
             name = syscall.obj.field_qname(syscall.fieldname)
             if self._maybe_defer(thread, syscall, OpType.READ, name):
                 return
-            if self._maybe_delay(thread, syscall, OpType.READ, name):
+            if self._has_delays and self._maybe_delay(
+                thread, syscall, OpType.READ, name
+            ):
                 return
             value = syscall.obj.get(syscall.fieldname)
             self._emit(thread, OpType.READ, name, syscall.obj.id)
@@ -286,7 +293,9 @@ class Kernel:
             name = syscall.obj.field_qname(syscall.fieldname)
             if self._maybe_defer(thread, syscall, OpType.WRITE, name):
                 return
-            if self._maybe_delay(thread, syscall, OpType.WRITE, name):
+            if self._has_delays and self._maybe_delay(
+                thread, syscall, OpType.WRITE, name
+            ):
                 return
             syscall.obj.set(syscall.fieldname, syscall.value)
             self._emit(thread, OpType.WRITE, name, syscall.obj.id)
@@ -295,7 +304,9 @@ class Kernel:
                 thread, syscall, syscall.optype, syscall.name
             ):
                 return
-            if self._maybe_delay(thread, syscall, syscall.optype, syscall.name):
+            if self._has_delays and self._maybe_delay(
+                thread, syscall, syscall.optype, syscall.name
+            ):
                 return
             self._emit(
                 thread, syscall.optype, syscall.name, syscall.address,

@@ -117,10 +117,11 @@ def test_presolve_and_phase1_counters_flow_to_metrics():
 
 
 def test_scale_tier_warm_rounds_skip_phase1():
-    """Above the 4096-column gate (~3k variables here) presolve reduces
-    every round, and the warm rounds re-enter through the carried basis
-    or the dual simplex: three revised-simplex rounds do no phase-1 work
-    at all, and the presolve reductions show up in the metrics."""
+    """Above the 4096-column presolve gate (~3k variables here)
+    presolve reduces every round, and each round starts phase 2 from
+    the carried basis or from the crash basis, which covers every row:
+    three revised-simplex rounds do no phase-1 work at all, and the
+    presolve reductions show up in the metrics."""
     app = build_synth_app(
         SynthSpec(app_id="App-XLw", pairs=3, fields_per_pair=12, episodes=6)
     )

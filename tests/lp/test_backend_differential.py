@@ -16,7 +16,8 @@ simplex, scipy and the tableau oracle, and they must agree on
 The built-ins make one promise beyond that: whenever they report the same
 optimal *basis*, their values and objective are bit-identical (the shared
 :func:`~repro.lp.revised.finalize_basic_solution` re-solve), which is what
-makes full pipeline reports byte-comparable across backends.
+makes full pipeline reports byte-comparable across backends.  One
+SherLock LP above 4096 real columns holds them to it at scale too.
 
 A source-scan guard pins the tentpole's core constraint: the revised
 simplex never densifies the constraint matrix in its hot path.
@@ -228,6 +229,35 @@ def test_free_variables_error_consistently(free_mask, costs):
     assert solve_scipy(m).status is SolveStatus.OPTIMAL
 
 
+def test_builtins_bit_identical_above_4096_real_columns():
+    """The byte-identity contract has no size limit: on a ~4.2k
+    real-column SherLock LP (the round-0 model of a synthetic app,
+    solved without presolve), the revised simplex and the tableau
+    oracle return the same status, objective bits, values and basis.
+    Its 2142 rows also take the sparse-LU finalization path."""
+    from repro.apps.synth import SynthSpec, build_synth_app
+    from repro.core import SherlockConfig
+    from repro.core.encoder import build_model
+    from repro.core.pipeline import Sherlock
+    from repro.lp.revised import _prepare_sparse
+
+    config = SherlockConfig(rounds=1, seed=0)
+    app = build_synth_app(
+        SynthSpec(app_id="Diff-4k", pairs=7, fields_per_pair=12, episodes=4)
+    )
+    model, _ = build_model(Sherlock(app, config).run().store, config)
+    assert _prepare_sparse(model.to_standard_form()).n_real >= 4096
+
+    revised = solve_revised(model)
+    dense = solve_simplex(model)
+    assert revised.status is dense.status is SolveStatus.OPTIMAL
+    assert revised.objective == dense.objective
+    assert revised.basis == dense.basis
+    assert {v.name: x for v, x in revised.values.items()} == {
+        v.name: x for v, x in dense.values.items()
+    }
+
+
 # ---------------------------------------------------------------------------
 # Hot-path densification guard
 # ---------------------------------------------------------------------------
@@ -235,17 +265,16 @@ def test_free_variables_error_consistently(free_mask, costs):
 
 def test_revised_hot_path_never_densifies_constraint_matrix():
     """Source-scan guard for the tentpole's core constraint: neither
-    ``revised.py``, ``factor.py``, ``presolve.py``, nor ``dual.py`` may
-    densify the constraint matrix (``toarray``/``todense``/``.A``).  The
-    only dense objects allowed are m-vectors (ftran/btran right-hand
-    sides, one entering column) and the final m×m basis re-solve in
-    extraction; presolve works on CSR/CSC index arrays directly."""
-    import repro.lp.dual as dual
+    ``revised.py``, ``factor.py`` nor ``presolve.py`` may densify the
+    constraint matrix (``toarray``/``todense``/``.A``).  The only dense
+    objects allowed are m-vectors (ftran/btran right-hand sides, one
+    entering column) and the final m×m basis re-solve in extraction;
+    presolve works on CSR/CSC index arrays directly."""
     import repro.lp.factor as factor
     import repro.lp.presolve as presolve
     import repro.lp.revised as revised
 
-    for module in (revised, factor, presolve, dual):
+    for module in (revised, factor, presolve):
         source = inspect.getsource(module)
         assert "toarray" not in source, module.__name__
         assert "todense" not in source, module.__name__
